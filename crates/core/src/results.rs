@@ -1,5 +1,6 @@
 //! Report types: what a technique estimated, joined against ground truth.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use cachescope_obs::{Metrics, ObsEvent, Profiler};
@@ -37,6 +38,8 @@ pub struct TechniqueReport {
 
 impl TechniqueReport {
     /// The technique's rank (1-based) and estimated percentage for `name`.
+    /// When several estimates share the name (unaggregated heap instances
+    /// from one site), the first, highest-ranked one answers.
     pub fn rank_of(&self, name: &str) -> Option<(usize, f64)> {
         self.estimates
             .iter()
@@ -86,7 +89,10 @@ pub struct ReportRow {
     pub actual_rank: usize,
     /// Ground-truth percentage of application misses.
     pub actual_pct: f64,
-    /// Technique rank, if the technique reported this object at all.
+    /// Technique rank, if the technique reported this object at all. When
+    /// several estimates share the name, the first (highest-ranked) one's
+    /// rank and percentage are joined, as [`TechniqueReport::rank_of`]
+    /// answers.
     pub est_rank: Option<usize>,
     /// Technique estimated percentage.
     pub est_pct: Option<f64>,
@@ -123,32 +129,48 @@ impl ExperimentReport {
     /// Rows are ordered by actual rank; objects below `min_pct` of actual
     /// misses are omitted (the paper excludes objects under 0.01%).
     /// Same-named objects (instances from one allocation site) pool into
-    /// a single row.
+    /// a single row, which joins the first estimate of that name.
     pub fn new(app: String, stats: RunStats, technique: TechniqueReport, min_pct: f64) -> Self {
-        // Pool ground truth by name (duplicate names = one site).
-        let mut by_name: Vec<(String, u64)> = Vec::new();
-        for o in &stats.objects {
-            match by_name.iter_mut().find(|(n, _)| *n == o.name) {
-                Some((_, m)) => *m += o.misses,
-                None => by_name.push((o.name.clone(), o.misses)),
+        // Pool ground truth by name (duplicate names = one site): sort the
+        // borrowed names and merge equal runs. Names stay borrowed; only
+        // rows that pass `min_pct` copy theirs.
+        let mut pooled: Vec<(&str, u64)> = stats
+            .objects
+            .iter()
+            .map(|o| (o.name.as_str(), o.misses))
+            .collect();
+        pooled.sort_unstable_by_key(|&(name, _)| name);
+        pooled.dedup_by(|(name, misses), (kept, sum)| {
+            let same = name == kept;
+            if same {
+                *sum += *misses;
             }
-        }
-        by_name.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            same
+        });
+        pooled.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         let total = stats.app.misses.max(1) as f64;
 
+        // One pass over the estimates, first match winning as in
+        // `rank_of`. Names come from untrusted traces, so the map keeps
+        // std's randomly keyed hasher.
+        let mut estimates = HashMap::with_capacity(technique.estimates.len());
+        for (i, e) in technique.estimates.iter().enumerate() {
+            estimates.entry(e.name.as_str()).or_insert((i + 1, e.pct));
+        }
+
         let mut rows = Vec::new();
-        for (rank, (name, misses)) in by_name.into_iter().enumerate() {
+        for (rank, (name, misses)) in pooled.into_iter().enumerate() {
             let pct = misses as f64 * 100.0 / total;
             if pct < min_pct && rank > 0 {
                 continue;
             }
-            let est = technique.rank_of(&name);
+            let est = estimates.get(name);
             rows.push(ReportRow {
-                name,
+                name: name.to_string(),
                 actual_rank: rank + 1,
                 actual_pct: pct,
-                est_rank: est.map(|(r, _)| r),
-                est_pct: est.map(|(_, p)| p),
+                est_rank: est.map(|&(r, _)| r),
+                est_pct: est.map(|&(_, p)| p),
             });
         }
         ExperimentReport {
@@ -259,7 +281,61 @@ impl fmt::Display for ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachescope_sim::rng::SmallRng;
     use cachescope_sim::{Counts, ObjectKind, ObjectStats};
+
+    /// The original quadratic join, kept as the oracle for
+    /// [`ExperimentReport::new`]: a linear name search per object while
+    /// pooling, then a linear estimate scan per row.
+    fn quadratic_rows(
+        stats: &RunStats,
+        technique: &TechniqueReport,
+        min_pct: f64,
+    ) -> Vec<ReportRow> {
+        let mut by_name: Vec<(String, u64)> = Vec::new();
+        for o in &stats.objects {
+            match by_name.iter_mut().find(|(n, _)| *n == o.name) {
+                Some((_, m)) => *m += o.misses,
+                None => by_name.push((o.name.clone(), o.misses)),
+            }
+        }
+        by_name.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let total = stats.app.misses.max(1) as f64;
+
+        let mut rows = Vec::new();
+        for (rank, (name, misses)) in by_name.into_iter().enumerate() {
+            let pct = misses as f64 * 100.0 / total;
+            if pct < min_pct && rank > 0 {
+                continue;
+            }
+            let est = technique.rank_of(&name);
+            rows.push(ReportRow {
+                name,
+                actual_rank: rank + 1,
+                actual_pct: pct,
+                est_rank: est.map(|(r, _)| r),
+                est_pct: est.map(|(_, p)| p),
+            });
+        }
+        rows
+    }
+
+    /// A row with its floats as bit patterns, for exact comparison.
+    type RowBits = (String, usize, u64, Option<usize>, Option<u64>);
+
+    fn row_bits(rows: &[ReportRow]) -> Vec<RowBits> {
+        rows.iter()
+            .map(|r| {
+                (
+                    r.name.clone(),
+                    r.actual_rank,
+                    r.actual_pct.to_bits(),
+                    r.est_rank,
+                    r.est_pct.map(f64::to_bits),
+                )
+            })
+            .collect()
+    }
 
     fn stats(objs: &[(&str, u64)]) -> RunStats {
         let misses: u64 = objs.iter().map(|&(_, m)| m).sum();
@@ -420,5 +496,128 @@ mod tests {
         assert!(s.contains("A"));
         assert!(s.contains("60.0"));
         assert!(s.contains('-'), "missing estimate renders as dash");
+    }
+
+    #[test]
+    fn duplicate_estimate_names_join_the_first_estimate() {
+        // Two estimates name "A" (unaggregated instances of one site): the
+        // row takes the first, highest-ranked one's rank and percentage.
+        let t = tech(&[("A", 50.0), ("B", 30.0), ("A", 20.0)]);
+        assert_eq!(t.rank_of("A"), Some((1, 50.0)));
+        let r = ExperimentReport::new(
+            "app".into(),
+            stats(&[("B", 600), ("A", 300), ("A", 100)]),
+            t,
+            0.01,
+        );
+        let a = r.row("A").unwrap();
+        assert_eq!(a.actual_rank, 2);
+        assert_eq!(a.est_rank, Some(1));
+        assert_eq!(a.est_pct, Some(50.0));
+        assert_eq!(r.row("B").unwrap().est_rank, Some(2));
+    }
+
+    /// Join with [`ExperimentReport::new`], require field-by-field
+    /// equality with the oracle, and return how many rows survived.
+    fn joins_like_oracle(s: &RunStats, t: &TechniqueReport, min_pct: f64, case: &str) -> usize {
+        let report = ExperimentReport::new("app".into(), s.clone(), t.clone(), min_pct);
+        let fast = row_bits(report.rows());
+        assert_eq!(fast, row_bits(&quadratic_rows(s, t, min_pct)), "{case}");
+        fast.len()
+    }
+
+    #[test]
+    fn join_matches_the_quadratic_oracle() {
+        let no_app_misses = RunStats {
+            app: Counts::default(),
+            ..stats(&[("A", 2), ("B", 1), ("A", 1)])
+        };
+        let edge_cases = [
+            (stats(&[]), tech(&[("A", 10.0)]), 0.01, 0, "no objects"),
+            (
+                no_app_misses,
+                tech(&[("B", 1.0)]),
+                0.01,
+                2,
+                "app.misses == 0",
+            ),
+            (
+                stats(&[("A", 5), ("B", 5), ("C", 0)]),
+                tech(&[("C", 1.0), ("C", 2.0)]),
+                1e9,
+                1,
+                "only rank 1 survives",
+            ),
+            (
+                stats(&[("A", 3), ("B", 1)]),
+                tech(&[("ghost", 9.0)]),
+                25.0,
+                2,
+                "row exactly at min_pct",
+            ),
+        ];
+        for (s, t, min_pct, rows, case) in &edge_cases {
+            assert_eq!(joins_like_oracle(s, t, *min_pct, case), *rows, "{case}");
+        }
+
+        // Names from small pools, so address reuse (repeated hex names),
+        // same-named sites, ties and zero-miss objects are all common.
+        const HEX: [&str; 4] = ["0x141000000", "0x141000040", "0x141000080", "0x1410000c0"];
+        const SITES: [&str; 5] = ["arcs", "nodes", "tree_node", "U", "V"];
+        let mut rng = SmallRng::seed_from_u64(0x10_1a7e);
+        let name = |rng: &mut SmallRng| -> String {
+            match rng.random_range(0..10usize) {
+                0..=2 => HEX[rng.random_range(0..HEX.len())].to_string(),
+                3..=5 => SITES[rng.random_range(0..SITES.len())].to_string(),
+                _ => format!("0x{:x}", 0x1420_0000 + 64 * rng.random_range(0..256u64)),
+            }
+        };
+        for case in 0..400 {
+            let n = rng.random_range(0..120usize);
+            let objs: Vec<(String, u64)> = (0..n)
+                .map(|_| {
+                    let misses = match rng.random_range(0..4usize) {
+                        0 => 0,
+                        1 => rng.random_range(1..4u64),
+                        _ => rng.random_range(0..100_000u64),
+                    };
+                    (name(&mut rng), misses)
+                })
+                .collect();
+            let borrowed: Vec<(&str, u64)> = objs.iter().map(|(n, m)| (n.as_str(), *m)).collect();
+            let mut s = stats(&borrowed);
+            s.app.misses = match rng.random_range(0..5usize) {
+                0 => 0,
+                1 => s.app.misses,
+                _ => s.app.misses + rng.random_range(0..50_000u64),
+            };
+            // Estimates repeat names and name objects absent from ground truth.
+            let ests: Vec<Estimate> = (0..rng.random_range(0..40usize))
+                .map(|i| Estimate {
+                    name: if rng.random_range(0..4usize) == 0 {
+                        format!("ghost{i}")
+                    } else {
+                        name(&mut rng)
+                    },
+                    pct: rng.random_range(0.0..100.0),
+                    weight: 0,
+                })
+                .collect();
+            let t = TechniqueReport {
+                estimates: ests,
+                ..tech(&[])
+            };
+            // Thresholds include the exact percentage of some pooled row,
+            // so rows sit on the boundary, and values that keep only rank 1.
+            let all = quadratic_rows(&s, &t, f64::NEG_INFINITY);
+            let min_pct = match rng.random_range(0..5usize) {
+                0 => 0.0,
+                1 => 0.01,
+                2 if !all.is_empty() => all[rng.random_range(0..all.len())].actual_pct,
+                3 => 1e9,
+                _ => rng.random_range(0.0..30.0),
+            };
+            joins_like_oracle(&s, &t, min_pct, &format!("random case {case}"));
+        }
     }
 }

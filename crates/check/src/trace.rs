@@ -176,6 +176,37 @@ mod tests {
     }
 
     #[test]
+    fn static_objects_are_checked_in_both_formats() {
+        // The header's objects must be known right after `open`, before
+        // any body event: overlapping and zero-size statics warn alike
+        // whichever format carried them.
+        let p = || {
+            TraceProgram::new(
+                "t",
+                vec![
+                    ObjectDecl::global("a", 0x1000, 64),
+                    ObjectDecl::global("b", 0x1020, 64),
+                    ObjectDecl::global("z", 0x3000, 0),
+                ],
+                vec![Event::Access(MemRef::read(0x1000, 8))],
+            )
+        };
+        let codes = |diags: Vec<Diagnostic>| diags.iter().map(|d| d.code).collect::<Vec<_>>();
+        let want = ["CS-W005", "CS-W006"];
+        assert_eq!(codes(check_trace(text_of(p()).as_bytes(), "t")), want);
+        assert_eq!(codes(check_trace(&bin_of(p())[..], "t")), want);
+    }
+
+    #[test]
+    fn object_line_after_the_body_starts_is_t004() {
+        // The recorder writes `O` lines only in the header.
+        let text = "cachescope-trace 1\nN x\nO 1000 64 a\nC 5\nO 2000 64 b\n";
+        let diags = check_trace(text.as_bytes(), "t");
+        assert_eq!(diags[0].code, "CS-T004");
+        assert_eq!(diags[0].line, 5);
+    }
+
+    #[test]
     fn lifecycle_violations_inside_traces_surface() {
         let p = TraceProgram::new(
             "t",

@@ -5,7 +5,9 @@
 //! exactly from the iteration number.
 
 use cachescope_check::trace;
-use cachescope_sim::tracefile::{load_eager, RecordingProgram, TraceFormat};
+use cachescope_sim::tracefile::{
+    load_eager, BinStreamDecoder, RecordingProgram, TraceError, TraceFormat,
+};
 use cachescope_sim::{Event, MemRef, ObjectDecl, Program, TraceProgram};
 
 /// Minimal xorshift64* — no external RNG crates in this workspace.
@@ -71,10 +73,13 @@ fn must_not_panic(bytes: &[u8], what: &str) {
     let _ = trace::check_trace(bytes, what);
 }
 
-#[test]
-fn mutated_binary_traces_never_panic() {
+/// Corrupted inputs, each with the name it is reported under.
+type Inputs = Vec<(String, Vec<u8>)>;
+
+fn mutated_binary_traces() -> Inputs {
     let clean = bin_trace();
     let mut rng = Rng(0x5EED_CAFE_F00D_0001);
+    let mut inputs = Vec::new();
     for iter in 0..400 {
         let mut bytes = clean.clone();
         // 1-8 random byte mutations anywhere in the stream (header,
@@ -83,17 +88,61 @@ fn mutated_binary_traces_never_panic() {
             let at = rng.below(bytes.len());
             bytes[at] = (rng.next() & 0xFF) as u8;
         }
-        must_not_panic(&bytes, &format!("fuzz-bin-{iter}"));
+        inputs.push((format!("fuzz-bin-{iter}"), bytes));
+    }
+    inputs
+}
+
+fn truncated_binary_traces() -> Inputs {
+    let clean = bin_trace();
+    let mut rng = Rng(0x5EED_CAFE_F00D_0002);
+    let mut inputs = Vec::new();
+    for iter in 0..200 {
+        let cut = rng.below(clean.len());
+        inputs.push((format!("fuzz-cut-{iter}"), clean[..cut].to_vec()));
+    }
+    inputs
+}
+
+fn garbage() -> Inputs {
+    let mut rng = Rng(0x5EED_CAFE_F00D_0004);
+    let mut inputs = Vec::new();
+    for iter in 0..200 {
+        let len = rng.below(4096);
+        let mut bytes = vec![0u8; len];
+        for b in &mut bytes {
+            *b = (rng.next() & 0xFF) as u8;
+        }
+        inputs.push((format!("fuzz-garbage-{iter}"), bytes));
+    }
+    // Garbage that starts with a valid magic exercises the body decoders.
+    for (magic, tag) in [
+        (&b"cstrace2"[..], "bin"),
+        (&b"cachescope-trace 1\n"[..], "text"),
+    ] {
+        for iter in 0..100 {
+            let len = rng.below(2048);
+            let mut bytes = magic.to_vec();
+            for _ in 0..len {
+                bytes.push((rng.next() & 0xFF) as u8);
+            }
+            inputs.push((format!("fuzz-{tag}-magic-{iter}"), bytes));
+        }
+    }
+    inputs
+}
+
+#[test]
+fn mutated_binary_traces_never_panic() {
+    for (what, bytes) in mutated_binary_traces() {
+        must_not_panic(&bytes, &what);
     }
 }
 
 #[test]
 fn truncated_binary_traces_never_panic() {
-    let clean = bin_trace();
-    let mut rng = Rng(0x5EED_CAFE_F00D_0002);
-    for iter in 0..200 {
-        let cut = rng.below(clean.len());
-        must_not_panic(&clean[..cut], &format!("fuzz-cut-{iter}"));
+    for (what, bytes) in truncated_binary_traces() {
+        must_not_panic(&bytes, &what);
     }
 }
 
@@ -113,27 +162,72 @@ fn mutated_text_traces_never_panic() {
 
 #[test]
 fn pure_garbage_never_panics() {
-    let mut rng = Rng(0x5EED_CAFE_F00D_0004);
-    for iter in 0..200 {
-        let len = rng.below(4096);
-        let mut bytes = vec![0u8; len];
-        for b in &mut bytes {
-            *b = (rng.next() & 0xFF) as u8;
-        }
-        must_not_panic(&bytes, &format!("fuzz-garbage-{iter}"));
+    for (what, bytes) in garbage() {
+        must_not_panic(&bytes, &what);
     }
-    // Garbage that starts with a valid magic exercises the body decoders.
-    for (magic, tag) in [
-        (&b"cstrace2"[..], "bin"),
-        (&b"cachescope-trace 1\n"[..], "text"),
-    ] {
-        for iter in 0..100 {
-            let len = rng.below(2048);
-            let mut bytes = magic.to_vec();
-            for _ in 0..len {
-                bytes.push((rng.next() & 0xFF) as u8);
+}
+
+#[test]
+fn huge_declared_object_count_is_a_truncated_header() {
+    // Magic, empty program name, u32::MAX static objects — and no more
+    // bytes. The count must not size an allocation up front.
+    let mut bytes = b"cstrace2".to_vec();
+    bytes.extend_from_slice(&0u16.to_le_bytes());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(bytes.len(), 14);
+    let err = load_eager(&bytes[..]).unwrap_err();
+    assert_eq!(trace::error_code(err.kind), "CS-T002", "{err}");
+    let diags = trace::check_trace(&bytes[..], "huge-count");
+    let codes: Vec<_> = diags.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["CS-T002"]);
+}
+
+/// A whole decoded trace: name, static objects, events.
+type Decoded = (String, Vec<ObjectDecl>, Vec<Event>);
+
+/// Decode as `--replay` and `check --trace` do, through the file reader.
+fn decode_as_file(bytes: &[u8]) -> Result<Decoded, TraceError> {
+    let mut p = load_eager(bytes)?;
+    let mut events = Vec::new();
+    while let Some(ev) = p.next_event() {
+        events.push(ev);
+    }
+    Ok((p.name().to_string(), p.static_objects(), events))
+}
+
+/// Decode as the daemon does: push every byte, drain, declare the end.
+fn decode_as_stream(bytes: &[u8]) -> Result<Decoded, TraceError> {
+    let mut dec = BinStreamDecoder::new();
+    dec.push(bytes);
+    let mut events = Vec::new();
+    while let Some(ev) = dec.next_event()? {
+        events.push(ev);
+    }
+    dec.finish()?;
+    let (name, objects) = dec.header().expect("a clean finish implies a header");
+    Ok((name.to_string(), objects.to_vec(), events))
+}
+
+#[test]
+fn file_reader_and_stream_decoder_agree_on_corrupted_binary_traces() {
+    let mut compared = 0;
+    let inputs = mutated_binary_traces()
+        .into_iter()
+        .chain(truncated_binary_traces())
+        .chain(garbage());
+    for (what, bytes) in inputs.filter(|(_, b)| b.starts_with(b"cstrace2")) {
+        match (decode_as_file(&bytes), decode_as_stream(&bytes)) {
+            (Ok(file), Ok(stream)) => assert_eq!(file, stream, "{what}"),
+            (Err(file), Err(stream)) => {
+                assert_eq!(file.kind, stream.kind, "{what}");
+                assert_eq!(file.message, stream.message, "{what}");
             }
-            must_not_panic(&bytes, &format!("fuzz-{tag}-magic-{iter}"));
+            (file, stream) => panic!("{what}: file {file:?}, stream {stream:?}"),
         }
+        compared += 1;
     }
+    assert!(
+        compared > 500,
+        "only {compared} inputs start with the magic"
+    );
 }

@@ -13,8 +13,9 @@
 //!   `cachescope check --wire` via `cachescope_check::wire`).
 //! * [`session`] — per-session admission types: the handshake
 //!   [`SessionConfig`], the incremental [`SessionStream`] ingest that
-//!   validates (`CS-T*` / `CS-C*`) and content-hashes the trace as it
-//!   arrives, and the typed [`Refusal`] every rejection becomes.
+//!   decodes (refusing malformed framing with `CS-T*`) and
+//!   content-hashes the trace as it arrives, and the typed [`Refusal`]
+//!   every rejection becomes.
 //! * [`daemon`] — the multiplexer: listener threads, per-connection
 //!   session state machines, admission control, in-flight/disk dedup,
 //!   a bounded simulation [`Pool`](cachescope_campaign::Pool), obs

@@ -3,16 +3,16 @@
 //! A session is created at `Hello`, fed binary-v2 trace bytes chunk by
 //! chunk as `Data` frames arrive, and resolved into a report at `End`.
 //! Ingest is fully incremental: every arriving slice goes through the
-//! split-read-safe [`BinStreamDecoder`], the running content hash, and
-//! the `crates/check` chunk validator — so a malformed stream is
-//! refused with the same stable `CS-T*`/`CS-C*` code `cachescope check`
-//! would report for the equivalent file, before any worker is touched.
+//! split-read-safe [`BinStreamDecoder`] and the running content hash —
+//! so a malformed stream is refused with the same stable `CS-T*` code
+//! `cachescope check` would report for the equivalent file, before any
+//! worker is touched.
 
 use cachescope_campaign::Fnv1a64;
 use cachescope_core::TechniqueConfig;
 use cachescope_obs::{json, Json};
 use cachescope_sim::tracefile::BinStreamDecoder;
-use cachescope_sim::{Event, EventChunk, ObjectDecl, TraceProgram};
+use cachescope_sim::{Event, ObjectDecl, TraceProgram};
 
 /// Why a session (or connection) was refused: a stable code, a human
 /// message, and whether retrying the identical submission later can
@@ -155,10 +155,6 @@ impl SessionConfig {
     }
 }
 
-/// How many decoded events accumulate before a `crates/check` chunk
-/// validation pass runs over them.
-const VALIDATE_CHUNK_EVENTS: usize = 4096;
-
 /// A finished, validated ingest: everything needed to simulate (or to
 /// find an identical simulation).
 #[derive(Debug)]
@@ -186,10 +182,6 @@ pub struct SessionStream {
     hasher: Fnv1a64,
     bytes: u64,
     events: Vec<Event>,
-    /// Re-packed validation window, checked by `crates/check::chunk`
-    /// each time it fills.
-    chunk: EventChunk,
-    chunks_checked: u64,
 }
 
 impl Default for SessionStream {
@@ -199,8 +191,6 @@ impl Default for SessionStream {
             hasher: Fnv1a64::new(),
             bytes: 0,
             events: Vec::new(),
-            chunk: EventChunk::with_capacity(VALIDATE_CHUNK_EVENTS),
-            chunks_checked: 0,
         }
     }
 }
@@ -218,20 +208,6 @@ impl SessionStream {
     /// Decoded events so far.
     pub fn events(&self) -> u64 {
         self.events.len() as u64
-    }
-
-    fn check_window(&mut self) -> Result<(), Refusal> {
-        if self.chunk.is_empty() {
-            return Ok(());
-        }
-        let diags =
-            cachescope_check::chunk::check_chunk(&self.chunk, "session", self.chunks_checked);
-        self.chunks_checked += 1;
-        self.chunk.reset();
-        match diags.into_iter().next() {
-            None => Ok(()),
-            Some(d) => Err(Refusal::new(d.code, d.message, false)),
-        }
     }
 
     /// Feed one `Data` frame's bytes. `budget` caps the session's total
@@ -254,13 +230,7 @@ impl SessionStream {
         self.decoder.push(data);
         loop {
             match self.decoder.next_event() {
-                Ok(Some(ev)) => {
-                    self.events.push(ev.clone());
-                    self.chunk.push_event(ev);
-                    if self.chunk.is_full() {
-                        self.check_window()?;
-                    }
-                }
+                Ok(Some(ev)) => self.events.push(ev),
                 Ok(None) => return Ok(()),
                 Err(e) => {
                     return Err(Refusal::new(
@@ -275,7 +245,7 @@ impl SessionStream {
 
     /// Declare end-of-stream and finalize. Dangling bytes (a stream cut
     /// mid-record or mid-header) refuse with the truncation codes.
-    pub fn finish(mut self) -> Result<FinishedStream, Refusal> {
+    pub fn finish(self) -> Result<FinishedStream, Refusal> {
         if let Err(e) = self.decoder.finish() {
             return Err(Refusal::new(
                 cachescope_check::trace::error_code(e.kind),
@@ -283,7 +253,6 @@ impl SessionStream {
                 false,
             ));
         }
-        self.check_window()?;
         let Some((name, objects)) = self.decoder.header() else {
             return Err(Refusal::new(
                 "CS-T002",

@@ -265,8 +265,10 @@ impl Engine {
     ///
     /// Events are pulled in chunks ([`Program::next_chunk`]) and access
     /// runs take a batched fast path when the PMU provably cannot latch
-    /// an interrupt; results are bit-identical to [`Engine::run_scalar`]
-    /// (the retained one-event-at-a-time reference loop).
+    /// an interrupt. Results are bit-identical to a one-event-at-a-time
+    /// reference loop: the chunked-equivalence tests in this module
+    /// (`chunked_run_matches_scalar_run_bit_for_bit` and its churn and
+    /// bulk-path siblings) hold `run` to it.
     pub fn run<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
@@ -282,9 +284,10 @@ impl Engine {
     }
 
     /// Reference execution loop: one event at a time, exactly as the
-    /// pre-batching engine ran. Kept as the semantic baseline the chunked
-    /// loop is equivalence-tested against; not used on hot paths.
-    pub fn run_scalar<P: Program + ?Sized, H: Handler + ?Sized>(
+    /// pre-batching engine ran. Test support only: the oracle the
+    /// chunked loop is equivalence-tested against.
+    #[cfg(test)]
+    fn run_scalar<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
         handler: &mut H,

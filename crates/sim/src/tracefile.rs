@@ -37,10 +37,12 @@
 //! ```
 //!
 //! Only `Alloc` carries a variable tail (8-byte size + name bytes); the
-//! hot record — `Access` — is always one aligned 16-byte word, so replay
-//! decodes chunks straight out of the read buffer. Replaying a recorded
-//! trace in either format produces results bit-identical to the live
-//! program.
+//! hot record — `Access` — is always one 16-byte word. One decoder,
+//! [`BinStreamDecoder`], owns this layout and its errors: the daemon
+//! pushes socket bytes into it, and [`BinTraceReader`] feeds it bounded
+//! slices of a file, so the same bytes decode, or fail, the same way on
+//! both paths. Replaying a recorded trace in either format produces
+//! results bit-identical to the live program.
 
 use std::io::{self, BufRead, Write};
 
@@ -235,15 +237,20 @@ impl<P: Program, W: Write> Program for RecordingProgram<P, W> {
 
 /// Streams a recorded trace back as a [`Program`].
 ///
-/// Body errors never panic: [`TraceReader::try_next_event`] returns them
-/// typed, and the infallible [`Program::next_event`] path stashes the
-/// first error (readable via [`TraceReader::error`]) and reports
-/// end-of-program.
+/// The header — magic, name and the contiguous block of `O` lines — is
+/// parsed by [`TraceReader::new`], so [`Program::static_objects`] is
+/// complete before the first event. Body errors never panic:
+/// [`TraceReader::try_next_event`] returns them typed, and the
+/// infallible [`Program::next_event`] path stashes the first error
+/// (readable via [`TraceReader::error`]) and reports end-of-program.
 pub struct TraceReader<R: BufRead> {
     name: String,
     objects: Vec<ObjectDecl>,
     lines: io::Lines<R>,
     line_no: usize,
+    /// The line that ended the `O` block: the first body line, read by
+    /// `new` but not yet parsed.
+    pending: Option<String>,
     error: Option<TraceError>,
 }
 
@@ -305,21 +312,15 @@ impl<R: BufRead> TraceReader<R> {
     /// Parse the header (magic, name, static objects); the body streams
     /// lazily through [`Program::next_event`].
     pub fn new(reader: R) -> Result<Self, TraceError> {
-        let mut lines = reader.lines();
-        let mut line_no = 0usize;
-        let mut next = |no: &mut usize| -> Result<Option<String>, TraceError> {
-            *no += 1;
-            match lines.next() {
-                Some(Ok(l)) => Ok(Some(l)),
-                Some(Err(e)) => Err(TraceError {
-                    line: *no,
-                    kind: TraceErrorKind::Io,
-                    message: e.to_string(),
-                }),
-                None => Ok(None),
-            }
+        let mut tr = TraceReader {
+            name: String::new(),
+            objects: Vec::new(),
+            lines: reader.lines(),
+            line_no: 0,
+            pending: None,
+            error: None,
         };
-        let magic = next(&mut line_no)?.unwrap_or_default();
+        let magic = tr.next_line()?.unwrap_or_default();
         if magic != MAGIC {
             return Err(TraceError {
                 line: 1,
@@ -327,24 +328,48 @@ impl<R: BufRead> TraceReader<R> {
                 message: format!("bad magic {magic:?}"),
             });
         }
-        let name_line = next(&mut line_no)?.unwrap_or_default();
-        let name = name_line
+        let name_line = tr.next_line()?.unwrap_or_default();
+        tr.name = name_line
             .strip_prefix("N ")
             .ok_or(TraceError {
-                line: line_no,
+                line: tr.line_no,
                 kind: TraceErrorKind::TruncatedHeader,
                 message: "expected program name (N ...)".into(),
             })?
             .to_string();
-        // Object lines are contiguous; we cannot peek with io::Lines, so
-        // static objects are instead re-parsed permissively: read lines
-        // until a non-`O` line appears and stash it as the first event.
-        Ok(TraceReader {
-            name,
-            objects: Vec::new(),
-            lines,
-            line_no,
-            error: None,
+        // io::Lines cannot peek, so the line that ends the `O` block is
+        // kept for the body parser.
+        while let Some(line) = tr.next_line()? {
+            let Some(rest) = line.strip_prefix("O ") else {
+                tr.pending = Some(line);
+                break;
+            };
+            let err = |m: String| TraceError {
+                line: tr.line_no,
+                kind: TraceErrorKind::MalformedRecord,
+                message: m,
+            };
+            let mut p = rest.splitn(3, ' ');
+            let base = u64::from_str_radix(p.next().unwrap_or(""), 16)
+                .map_err(|e| err(format!("bad object base: {e}")))?;
+            let size: u64 = p
+                .next()
+                .unwrap_or("")
+                .parse()
+                .map_err(|e| err(format!("bad object size: {e}")))?;
+            let name = p.next().unwrap_or("").to_string();
+            tr.objects.push(ObjectDecl::global(name, base, size));
+        }
+        Ok(tr)
+    }
+
+    /// Read and count the next line (`Ok(None)` at EOF).
+    fn next_line(&mut self) -> Result<Option<String>, TraceError> {
+        self.line_no += 1;
+        self.lines.next().transpose().map_err(|e| TraceError {
+            line: self.line_no,
+            kind: TraceErrorKind::Io,
+            message: e.to_string(),
         })
     }
 
@@ -368,41 +393,15 @@ impl<R: BufRead> TraceReader<R> {
     /// surfaces the error instead of stashing it.
     pub fn try_next_event(&mut self) -> Result<Option<Event>, TraceError> {
         loop {
-            self.line_no += 1;
-            let line = match self.lines.next() {
-                None => return Ok(None),
-                Some(Ok(l)) => l,
-                Some(Err(e)) => {
-                    return Err(TraceError {
-                        line: self.line_no,
-                        kind: TraceErrorKind::Io,
-                        message: e.to_string(),
-                    })
-                }
+            let line = match self.pending.take() {
+                Some(line) => line,
+                None => match self.next_line()? {
+                    Some(line) => line,
+                    None => return Ok(None),
+                },
             };
-            // Header object lines (parsed here because the engine calls
-            // static_objects() before the first event — see `load`).
-            if let Some(rest) = line.strip_prefix("O ") {
-                let err = |m: String| TraceError {
-                    line: self.line_no,
-                    kind: TraceErrorKind::MalformedRecord,
-                    message: m,
-                };
-                let mut p = rest.splitn(3, ' ');
-                let base = u64::from_str_radix(p.next().unwrap_or(""), 16)
-                    .map_err(|e| err(format!("bad object base: {e}")))?;
-                let size: u64 = p
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|e| err(format!("bad object size: {e}")))?;
-                let name = p.next().unwrap_or("").to_string();
-                self.objects.push(ObjectDecl::global(name, base, size));
-                continue;
-            }
-            match Self::parse_event(&line, self.line_no)? {
-                Some(ev) => return Ok(Some(ev)),
-                None => continue,
+            if let Some(ev) = Self::parse_event(&line, self.line_no)? {
+                return Ok(Some(ev));
             }
         }
     }
@@ -507,17 +506,21 @@ impl<R: BufRead> Program for TraceReader<R> {
 
 /// Streams a binary (v2) trace back as a [`Program`].
 ///
-/// The header (magic, name, static objects) is parsed eagerly; body
-/// records decode lazily, and [`Program::next_chunk`] decodes fixed-width
-/// records directly out of the underlying read buffer.
+/// A feeder over [`BinStreamDecoder`], which owns the format: the reader
+/// hands it bounded [`BufRead::fill_buf`] slices, drains the decoded
+/// events, and declares end-of-stream at EOF. A file therefore decodes,
+/// and fails, exactly as the same bytes pushed through a socket do. The
+/// header is decoded by [`BinTraceReader::new`].
 pub struct BinTraceReader<R: BufRead> {
-    name: String,
-    objects: Vec<ObjectDecl>,
     reader: R,
-    /// Byte offset of the next unread record (for error reporting).
-    offset: u64,
+    decoder: BinStreamDecoder,
     error: Option<TraceError>,
 }
+
+/// Largest slice one feed hands the decoder. Bounds the decoder's
+/// buffer, so an in-memory trace (whose `fill_buf` is the whole input)
+/// is never copied whole.
+const FEED_BYTES: usize = 64 * 1024;
 
 /// Build a binary-trace error (binary errors report byte offsets, so
 /// `line` is always 0).
@@ -529,89 +532,19 @@ fn bin_err(kind: TraceErrorKind, offset: u64, m: String) -> TraceError {
     }
 }
 
-/// Fill `buf` from `reader`, tolerating short reads. Returns the number
-/// of bytes actually read: `buf.len()` normally, `0` at a clean EOF, or
-/// something in between when the stream ends mid-record (torn record).
-fn read_up_to<R: BufRead>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match reader.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
-}
-
 impl<R: BufRead> BinTraceReader<R> {
-    /// Parse the binary header; fails on a bad magic or truncated header.
-    pub fn new(mut reader: R) -> Result<Self, TraceError> {
-        fn read<R: BufRead>(
-            reader: &mut R,
-            offset: &mut u64,
-            buf: &mut [u8],
-            what: &str,
-        ) -> Result<(), TraceError> {
-            reader.read_exact(buf).map_err(|e| {
-                bin_err(
-                    TraceErrorKind::TruncatedHeader,
-                    *offset,
-                    format!("truncated {what}: {e}"),
-                )
-            })?;
-            *offset += buf.len() as u64;
-            Ok(())
-        }
-        fn read_str<R: BufRead>(
-            reader: &mut R,
-            offset: &mut u64,
-            what: &str,
-        ) -> Result<String, TraceError> {
-            let mut len = [0u8; 2];
-            read(reader, offset, &mut len, what)?;
-            let mut bytes = vec![0u8; u16::from_le_bytes(len) as usize];
-            read(reader, offset, &mut bytes, what)?;
-            String::from_utf8(bytes).map_err(|e| {
-                bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    *offset,
-                    format!("bad utf-8 {what}: {e}"),
-                )
-            })
-        }
-        let mut offset = 0u64;
-        let mut magic = [0u8; 8];
-        read(&mut reader, &mut offset, &mut magic, "magic")?;
-        if &magic != BIN_MAGIC {
-            return Err(bin_err(
-                TraceErrorKind::BadMagic,
-                0,
-                format!("bad magic {magic:?}"),
-            ));
-        }
-        let name = read_str(&mut reader, &mut offset, "program name")?;
-        let mut count = [0u8; 4];
-        read(&mut reader, &mut offset, &mut count, "object count")?;
-        let count = u32::from_le_bytes(count);
-        let mut objects = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let mut word = [0u8; 8];
-            read(&mut reader, &mut offset, &mut word, "object base")?;
-            let base = u64::from_le_bytes(word);
-            read(&mut reader, &mut offset, &mut word, "object size")?;
-            let size = u64::from_le_bytes(word);
-            let oname = read_str(&mut reader, &mut offset, "object name")?;
-            objects.push(ObjectDecl::global(oname, base, size));
-        }
-        Ok(BinTraceReader {
-            name,
-            objects,
+    /// Decode the binary header; fails on a bad magic or truncated header.
+    pub fn new(reader: R) -> Result<Self, TraceError> {
+        let mut tr = BinTraceReader {
             reader,
-            offset,
+            decoder: BinStreamDecoder::new(),
             error: None,
-        })
+        };
+        // At EOF, `feed` fails with the decoder's truncated-header error.
+        while !tr.decoder.read_header()? {
+            tr.feed()?;
+        }
+        Ok(tr)
     }
 
     /// The first body error encountered, if the stream ended on one.
@@ -624,83 +557,58 @@ impl<R: BufRead> BinTraceReader<R> {
         self.error.take()
     }
 
-    /// Byte offset of the next unread record.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Fallible record pull: decode one 16-byte record word (plus an
-    /// Alloc tail, if any). `Ok(None)` at a clean EOF on a record
+    /// Fallible record pull. `Ok(None)` at a clean EOF on a record
     /// boundary; a stream that ends mid-record is a
     /// [`TraceErrorKind::TruncatedRecord`] error, not EOF.
     pub fn try_next_event(&mut self) -> Result<Option<Event>, TraceError> {
-        let mut rec = [0u8; 16];
-        let got = read_up_to(&mut self.reader, &mut rec)
-            .map_err(|e| bin_err(TraceErrorKind::Io, self.offset, format!("read error: {e}")))?;
-        if got == 0 {
-            return Ok(None);
-        }
-        if got < 16 {
-            return Err(bin_err(
-                TraceErrorKind::TruncatedRecord,
-                self.offset,
-                format!("torn record: {got} of 16 bytes"),
-            ));
-        }
-        self.offset += 16;
-        let ev = match rec[0] {
-            1 => Event::Access(decode_access(&rec)),
-            2 => Event::Compute(le_u64(&rec, 8)),
-            3 => {
-                let base = le_u64(&rec, 8);
-                let has_name = rec[1] != 0;
-                let name_len = u16::from_le_bytes([rec[2], rec[3]]) as usize;
-                let mut tail = vec![0u8; 8 + name_len];
-                let got = read_up_to(&mut self.reader, &mut tail).map_err(|e| {
-                    bin_err(TraceErrorKind::Io, self.offset, format!("read error: {e}"))
-                })?;
-                if got < tail.len() {
-                    return Err(bin_err(
-                        TraceErrorKind::TruncatedRecord,
-                        self.offset,
-                        format!("truncated alloc tail: {got} of {} bytes", tail.len()),
-                    ));
-                }
-                let mut word = [0u8; 8];
-                word.copy_from_slice(&tail[..8]);
-                let size = u64::from_le_bytes(word);
-                self.offset += tail.len() as u64;
-                let name = if has_name {
-                    Some(String::from_utf8(tail.split_off(8)).map_err(|e| {
-                        bin_err(
-                            TraceErrorKind::MalformedRecord,
-                            self.offset,
-                            format!("bad utf-8 alloc name: {e}"),
-                        )
-                    })?)
-                } else {
-                    None
-                };
-                Event::Alloc { base, size, name }
+        loop {
+            if let Some(ev) = self.decoder.next_event()? {
+                return Ok(Some(ev));
             }
-            4 => Event::Free {
-                base: le_u64(&rec, 8),
-            },
-            5 => Event::Phase(le_u32(&rec, 4)),
-            t => {
+            if !self.feed()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Push the next slice of input into the decoder: `Ok(true)` while
+    /// input remains. At EOF, declare end-of-stream instead: `Ok(false)`
+    /// if the stream ended cleanly, the decoder's truncation error if not.
+    fn feed(&mut self) -> Result<bool, TraceError> {
+        let avail = match self.reader.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(true),
+            Err(e) => {
                 return Err(bin_err(
-                    TraceErrorKind::MalformedRecord,
-                    self.offset - 16,
-                    format!("unknown record tag {t}"),
+                    TraceErrorKind::Io,
+                    self.decoder.consumed(),
+                    format!("read error: {e}"),
                 ))
             }
         };
-        Ok(Some(ev))
+        if avail.is_empty() {
+            self.decoder.finish()?;
+            return Ok(false);
+        }
+        let n = avail.len().min(FEED_BYTES);
+        self.decoder.push(&avail[..n]);
+        self.reader.consume(n);
+        Ok(true)
+    }
+}
+
+impl<R: BufRead> Program for BinTraceReader<R> {
+    fn name(&self) -> &str {
+        self.decoder.header().map_or("", |(name, _)| name)
     }
 
-    /// Infallible pull for the `Program` path: stash the first error and
-    /// report end-of-program (readable via [`BinTraceReader::error`]).
-    fn read_record(&mut self) -> Option<Event> {
+    fn static_objects(&self) -> Vec<ObjectDecl> {
+        self.decoder
+            .header()
+            .map_or_else(Vec::new, |(_, objects)| objects.to_vec())
+    }
+
+    fn next_event(&mut self) -> Option<Event> {
         if self.error.is_some() {
             return None;
         }
@@ -743,101 +651,20 @@ fn decode_access(rec: &[u8; 16]) -> MemRef {
     }
 }
 
-impl<R: BufRead> Program for BinTraceReader<R> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn static_objects(&self) -> Vec<ObjectDecl> {
-        self.objects.clone()
-    }
-
-    fn next_event(&mut self) -> Option<Event> {
-        self.read_record()
-    }
-
-    /// Decode fixed-width records straight out of the read buffer: no
-    /// per-event `read_exact`, no enum round-trip for accesses.
-    fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        if self.error.is_some() {
-            return buf.len();
-        }
-        while !buf.is_full() {
-            let avail = match self.reader.fill_buf() {
-                Ok(a) => a,
-                Err(e) => {
-                    self.error = Some(bin_err(
-                        TraceErrorKind::Io,
-                        self.offset,
-                        format!("read error: {e}"),
-                    ));
-                    break;
-                }
-            };
-            if avail.is_empty() {
-                break;
-            }
-            if avail.len() < 16 {
-                // Record straddles the buffer edge (or the stream ends on
-                // a torn record): take the slow path, which distinguishes
-                // the two and stashes a typed error for the latter.
-                match self.read_record() {
-                    Some(ev) => buf.push_event(ev),
-                    None => break,
-                }
-                continue;
-            }
-            let mut consumed = 0usize;
-            while buf.remaining() > 0 && avail.len() - consumed >= 16 {
-                // check:allow(slice is exactly 16 bytes by the loop guard)
-                let rec: &[u8; 16] = avail[consumed..consumed + 16].try_into().unwrap();
-                match rec[0] {
-                    1 => buf.push_ref(decode_access(rec)),
-                    2 => buf.push_mark(Event::Compute(le_u64(rec, 8))),
-                    4 => buf.push_mark(Event::Free {
-                        base: le_u64(rec, 8),
-                    }),
-                    5 => buf.push_mark(Event::Phase(le_u32(rec, 4))),
-                    // Alloc has a variable tail, and an unknown tag needs
-                    // a typed error: defer both to the slow path below.
-                    _ => break,
-                }
-                consumed += 16;
-            }
-            self.reader.consume(consumed);
-            self.offset += consumed as u64;
-            if consumed == 0 {
-                if buf.remaining() == 0 {
-                    break;
-                }
-                match self.read_record() {
-                    Some(ev) => buf.push_event(ev),
-                    None => break,
-                }
-            }
-        }
-        buf.len()
-    }
-}
-
-/// Push-based incremental decoder for the binary (v2) trace format.
+/// Push-based incremental decoder for the binary (v2) trace format, and
+/// the only code that decodes its header and records.
 ///
-/// [`BinTraceReader`] pulls from a `BufRead`, which makes "no more bytes
-/// yet" indistinguishable from end-of-stream — fine for files, wrong for
-/// sockets, where a record routinely arrives split across `read()`
-/// calls. This decoder inverts control: callers [`push`](Self::push)
-/// whatever bytes the transport delivered (any slicing, down to one byte
-/// at a time) and drain complete events with
+/// Callers [`push`](Self::push) whatever bytes arrived (any slicing, down
+/// to one byte at a time) and drain complete events with
 /// [`next_event`](Self::next_event), which returns `Ok(None)` when the
 /// buffered bytes end mid-record — decoding resumes exactly there on the
 /// next push. Only [`finish`](Self::finish), called when the caller
 /// knows the stream is truly over, turns a dangling partial record into
 /// a [`TraceErrorKind::TruncatedRecord`] / `TruncatedHeader` error.
 ///
-/// The daemon's ingress path (`cachescope serve`) is the primary user;
-/// the decode logic and error codes are identical to
-/// [`BinTraceReader`]'s, so a stream accepted here replays identically
-/// from disk.
+/// The daemon's ingress path (`cachescope serve`) pushes socket bytes,
+/// and [`BinTraceReader`] pushes slices of a file, so a stream accepted
+/// by one replays identically, with the same errors, through the other.
 #[derive(Debug, Default)]
 pub struct BinStreamDecoder {
     buf: Vec<u8>,
@@ -851,13 +678,8 @@ pub struct BinStreamDecoder {
     error: Option<TraceError>,
 }
 
-/// Outcome of one incremental header-parse attempt.
-enum HeaderParse {
-    /// Not enough buffered bytes yet; try again after the next push.
-    NeedMore,
-    /// Header complete: name, objects, and its total encoded length.
-    Done(String, Vec<ObjectDecl>, usize),
-}
+/// A decoded header: program name, static objects, encoded length.
+type Header = (String, Vec<ObjectDecl>, usize);
 
 impl BinStreamDecoder {
     pub fn new() -> Self {
@@ -897,8 +719,27 @@ impl BinStreamDecoder {
         e
     }
 
-    /// Attempt to parse the header from the buffered prefix.
-    fn try_parse_header(&mut self) -> Result<HeaderParse, TraceError> {
+    /// Whether the header has decoded, decoding it now if the buffered
+    /// bytes hold all of it.
+    fn read_header(&mut self) -> Result<bool, TraceError> {
+        if self.header.is_some() {
+            return Ok(true);
+        }
+        match self.try_parse_header() {
+            Ok(None) => Ok(false),
+            Ok(Some((name, objects, len))) => {
+                self.pos += len;
+                self.consumed += len as u64;
+                self.header = Some((name, objects));
+                Ok(true)
+            }
+            Err(e) => Err(self.fail(e)),
+        }
+    }
+
+    /// Attempt to parse the header from the buffered prefix; `Ok(None)`
+    /// while bytes are still missing.
+    fn try_parse_header(&self) -> Result<Option<Header>, TraceError> {
         let b = &self.buf[self.pos..];
         if b.len() < 8 {
             // An early mismatch is still detectable: a 3-byte prefix that
@@ -910,7 +751,7 @@ impl BinStreamDecoder {
                     format!("bad magic {b:?}"),
                 ));
             }
-            return Ok(HeaderParse::NeedMore);
+            return Ok(None);
         }
         if &b[..8] != BIN_MAGIC {
             return Err(bin_err(
@@ -941,17 +782,19 @@ impl BinStreamDecoder {
             }))
         };
         let name = match read_str(&mut at) {
-            None => return Ok(HeaderParse::NeedMore),
+            None => return Ok(None),
             Some(r) => r?,
         };
         let Some(cp) = take(&mut at, 4) else {
-            return Ok(HeaderParse::NeedMore);
+            return Ok(None);
         };
         let count = u32::from_le_bytes([b[cp], b[cp + 1], b[cp + 2], b[cp + 3]]);
+        // The count is untrusted: reserve for at most 4096 objects and
+        // let a longer table grow as its bytes actually arrive.
         let mut objects = Vec::with_capacity(count.min(4096) as usize);
         for _ in 0..count {
             let Some(wp) = take(&mut at, 16) else {
-                return Ok(HeaderParse::NeedMore);
+                return Ok(None);
             };
             let mut w = [0u8; 8];
             w.copy_from_slice(&b[wp..wp + 8]);
@@ -959,31 +802,26 @@ impl BinStreamDecoder {
             w.copy_from_slice(&b[wp + 8..wp + 16]);
             let size = u64::from_le_bytes(w);
             let oname = match read_str(&mut at) {
-                None => return Ok(HeaderParse::NeedMore),
+                None => return Ok(None),
                 Some(r) => r?,
             };
             objects.push(ObjectDecl::global(oname, base, size));
         }
-        Ok(HeaderParse::Done(name, objects, at))
+        Ok(Some((name, objects, at)))
     }
 
     /// Decode the next complete event, if the buffer holds one.
     /// `Ok(None)` means "need more bytes" — never an error; a stream cut
     /// mid-record only errors through [`finish`](Self::finish).
+    // Inlined into `BinTraceReader`'s feed loop: replay decodes every
+    // recorded event through this call.
+    #[inline]
     pub fn next_event(&mut self) -> Result<Option<Event>, TraceError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        if self.header.is_none() {
-            match self.try_parse_header() {
-                Ok(HeaderParse::NeedMore) => return Ok(None),
-                Ok(HeaderParse::Done(name, objects, len)) => {
-                    self.pos += len;
-                    self.consumed += len as u64;
-                    self.header = Some((name, objects));
-                }
-                Err(e) => return Err(self.fail(e)),
-            }
+        if self.header.is_none() && !self.read_header()? {
+            return Ok(None);
         }
         let b = &self.buf[self.pos..];
         if b.len() < 16 {
@@ -1042,28 +880,36 @@ impl BinStreamDecoder {
         Ok(Some(ev))
     }
 
-    /// Declare end-of-stream. Clean only when no partial record (or
-    /// partial header) is left dangling in the buffer.
+    /// Declare end-of-stream, once [`next_event`](Self::next_event) has
+    /// drained every complete event. Clean only when no partial header
+    /// or record is left in the buffer; otherwise the error says what
+    /// was cut.
     pub fn finish(&self) -> Result<(), TraceError> {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        let left = self.buf.len() - self.pos;
-        if left == 0 && self.header.is_some() {
-            return Ok(());
-        }
-        if self.header.is_none() {
-            return Err(bin_err(
+        let left = &self.buf[self.pos..];
+        let (kind, message) = match (self.header.is_some(), left.len()) {
+            (false, n) => (
                 TraceErrorKind::TruncatedHeader,
-                self.consumed,
-                format!("stream ended inside the header ({left} trailing bytes)"),
-            ));
-        }
-        Err(bin_err(
-            TraceErrorKind::TruncatedRecord,
-            self.consumed,
-            format!("stream ended mid-record ({left} trailing bytes)"),
-        ))
+                format!("truncated header: stream ended after {n} bytes"),
+            ),
+            (true, 0) => return Ok(()),
+            (true, n @ 1..=15) => (
+                TraceErrorKind::TruncatedRecord,
+                format!("torn record: {n} of 16 bytes"),
+            ),
+            // A whole record word stays undecoded only when it is an
+            // alloc whose tail has not all arrived.
+            (true, n) => {
+                let tail = 8 + u16::from_le_bytes([left[2], left[3]]) as usize;
+                (
+                    TraceErrorKind::TruncatedRecord,
+                    format!("truncated alloc tail: {} of {tail} bytes", n - 16),
+                )
+            }
+        };
+        Err(bin_err(kind, self.consumed, message))
     }
 }
 
@@ -1128,13 +974,6 @@ impl<R: BufRead> Program for AnyTraceReader<R> {
         match self {
             AnyTraceReader::Text(t) => t.next_event(),
             AnyTraceReader::Bin(b) => b.next_event(),
-        }
-    }
-
-    fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        match self {
-            AnyTraceReader::Text(t) => t.next_chunk(buf),
-            AnyTraceReader::Bin(b) => b.next_chunk(buf),
         }
     }
 }

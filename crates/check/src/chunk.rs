@@ -1,13 +1,13 @@
 //! [`EventChunk`] encoding well-formedness.
 //!
-//! The chunked hot path (PR 4) relies on structural invariants the
+//! The engine's chunked loop relies on structural invariants the
 //! producers must uphold: mark positions index into (or trail by one)
 //! the dense access run and never decrease, the `pre_cycles` side array
 //! is either unused or exactly parallel to `refs`, accesses never hide
 //! in `marks`, and a chunk never exceeds the capacity it advertised.
-//! The engine's fused fast path assumes all of these without checking —
-//! a malformed chunk corrupts attribution silently, so producers are
-//! verified here instead.
+//! The loop's mark walk and its bulk access step index by these without
+//! checking — a malformed chunk corrupts attribution silently, so
+//! producers are verified here instead.
 //!
 //! Codes: `CS-C001` mark position out of range, `CS-C002` mark positions
 //! decrease, `CS-C003` bad `pre_cycles` length, `CS-C004` chunk over

@@ -263,12 +263,13 @@ impl Engine {
     /// The engine is single-shot: it accumulates state, so create a fresh
     /// `Engine` per run when comparing configurations.
     ///
-    /// Events are pulled in chunks ([`Program::next_chunk`]) and access
-    /// runs take a batched fast path when the PMU provably cannot latch
-    /// an interrupt. Results are bit-identical to a one-event-at-a-time
+    /// Events are pulled in chunks ([`Program::next_chunk`]) and run by
+    /// one loop, which takes each access run in bulk while the PMU
+    /// provably cannot latch an interrupt and one event at a time
+    /// otherwise. Results are bit-identical to a one-event-at-a-time
     /// reference loop: the chunked-equivalence tests in this module
-    /// (`chunked_run_matches_scalar_run_bit_for_bit` and its churn and
-    /// bulk-path siblings) hold `run` to it.
+    /// (`chunked_run_matches_scalar_run_bit_for_bit` and its churn,
+    /// bulk-path and armed-to-quiet siblings) hold `run` to it.
     pub fn run<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
@@ -348,7 +349,11 @@ impl Engine {
         });
     }
 
-    /// The chunked main loop.
+    /// The chunked main loop. Per chunk it alternates two walks: the
+    /// marks at the current position, each a full event, then the access
+    /// run up to the next mark — in bulk, `min(unchecked_budget, run
+    /// length)` accesses at a time, while [`Pmu::can_latch`] is false, and
+    /// one event at a time otherwise.
     ///
     /// Equivalence to the scalar loop rests on two facts:
     ///
@@ -356,10 +361,10 @@ impl Engine {
     ///    `check_timer`/`take_pending` polls are no-ops and *stay* no-ops
     ///    across any number of pure accesses (nothing armed, no fault
     ///    model, and no handler runs that could arm something) — so the
-    ///    batched inner loop may skip them wholesale.
+    ///    bulk step may skip them wholesale.
     /// 2. [`Engine::unchecked_budget`] under-approximates how many
     ///    accesses can run before the limit could trip, so hoisting the
-    ///    limit check out of the batched loop never overshoots the point
+    ///    limit check out of the bulk step never overshoots the point
     ///    where the scalar loop would have stopped.
     ///
     /// The only externally visible difference is that the program may be
@@ -372,6 +377,10 @@ impl Engine {
         handler: &mut H,
         limit: RunLimit,
     ) {
+        let clock_free_limit = matches!(
+            limit,
+            RunLimit::AppMisses(_) | RunLimit::AppAccesses(_) | RunLimit::Exhausted
+        );
         let mut chunk = crate::program::EventChunk::standard();
         'outer: while !self.limit_reached(limit) {
             chunk.reset();
@@ -382,67 +391,16 @@ impl Engine {
             // enclosing `engine.run` exit closes the abandoned frame.
             let sp_chunk = self.obs.profiler.enter("engine.chunk");
             let refs_len = chunk.refs.len();
-            // Whole-chunk fused path. Three conditions make it exact:
-            // the limit counts only accesses or misses (so the clock
-            // cannot trip it), nothing is armed (so no event in the
-            // chunk can latch or poll — fact 1), and the access budget
-            // *strictly* covers the chunk (so the per-event limit check
-            // cannot trip at any position, including trailing marks —
-            // fact 2). If additionally every mark is a pure Compute
-            // advance, the chunk reduces to clock bumps interleaved
-            // with accesses, with no per-event dispatch at all.
-            let clock_free_limit = matches!(
-                limit,
-                RunLimit::AppMisses(_) | RunLimit::AppAccesses(_) | RunLimit::Exhausted
-            );
-            if clock_free_limit
-                && !self.pmu.can_latch()
-                && self.unchecked_budget(limit) > refs_len as u64
-                && chunk
-                    .marks
-                    .iter()
-                    .all(|(_, m)| matches!(m, Event::Compute(_)))
-            {
-                let mut mi = 0;
-                for (i, r) in chunk.refs.iter().enumerate() {
-                    while mi < chunk.marks.len() && chunk.marks[mi].0 as usize == i {
-                        if let Event::Compute(c) = chunk.marks[mi].1 {
-                            self.clock += c;
-                        }
-                        mi += 1;
-                    }
-                    if let Some(&c) = chunk.pre_cycles.get(i) {
-                        self.clock += c;
-                    }
-                    self.app_access(*r);
-                }
-                for (_, m) in &chunk.marks[mi..] {
-                    if let Event::Compute(c) = m {
-                        self.clock += *c;
-                    }
-                }
-                self.close_chunk_span(sp_chunk);
-                continue;
-            }
+            // Fused computes advance the clock between accesses, so under
+            // a cycle limit the access budget no longer bounds where the
+            // limit trips.
+            let bulk_ok = clock_free_limit || chunk.pre_cycles.is_empty();
             let mut i = 0; // next access to execute
             let mut mi = 0; // next control mark to execute
             loop {
-                // Control events interleaved at this position.
                 while mi < chunk.marks.len() && chunk.marks[mi].0 as usize == i {
                     if self.limit_reached(limit) {
                         break 'outer;
-                    }
-                    // Compute marks are pure clock advances; with nothing
-                    // armed the per-event poll is a proven no-op (fact 1
-                    // above), so skip the dispatch and the poll. Loop
-                    // workloads emit roughly one Compute per access, so
-                    // this shortcut carries real weight.
-                    if let Event::Compute(c) = chunk.marks[mi].1 {
-                        if !self.pmu.can_latch() {
-                            self.clock += c;
-                            mi += 1;
-                            continue;
-                        }
                     }
                     self.control_event(chunk.marks[mi].1.clone(), handler);
                     self.poll_interrupts(handler);
@@ -456,14 +414,9 @@ impl Engine {
                     if self.limit_reached(limit) {
                         break 'outer;
                     }
-                    if !self.pmu.can_latch() {
-                        let budget = self.unchecked_budget(limit);
-                        // Fused pre-access computes advance the clock, so
-                        // under cycle limits the access budget no longer
-                        // bounds where the limit trips; bulk only when the
-                        // limit is clock-free or nothing is fused.
-                        if budget > 0 && (clock_free_limit || chunk.pre_cycles.is_empty()) {
-                            let n = (budget.min((run_end - i) as u64)) as usize;
+                    if bulk_ok && !self.pmu.can_latch() {
+                        let n = self.unchecked_budget(limit).min((run_end - i) as u64) as usize;
+                        if n > 0 {
                             if chunk.pre_cycles.is_empty() {
                                 for r in &chunk.refs[i..i + n] {
                                     self.app_access(*r);
@@ -478,12 +431,11 @@ impl Engine {
                             continue;
                         }
                     }
-                    // Slow path: the exact per-event sequence of the
-                    // scalar loop — the fused compute is its own event
-                    // (covered by the limit check above), then the access.
+                    // One event at a time, as the scalar loop runs it: the
+                    // fused compute is its own event, then the access.
                     if let Some(&c) = chunk.pre_cycles.get(i) {
                         if c > 0 {
-                            self.control_event(Event::Compute(c), handler);
+                            self.clock += c;
                             self.poll_interrupts(handler);
                             if self.limit_reached(limit) {
                                 break 'outer;
@@ -1540,11 +1492,14 @@ mod chunked_equivalence_tests {
 
     /// A handler that exercises every interrupt-latching mechanism: a
     /// periodic miss-overflow counter, a periodic timer, and handler
-    /// memory traffic through the simulated cache.
+    /// memory traffic through the simulated cache. After `quit_after`
+    /// interrupts it stops re-arming and disarms the timer, as the search
+    /// does when it ends; without a fault model the PMU then goes quiet.
     struct BusyHandler {
         interrupts: u64,
         overflow_period: u64,
         timer_interval: Cycle,
+        quit_after: u64,
     }
 
     impl Handler for BusyHandler {
@@ -1555,11 +1510,35 @@ mod chunked_equivalence_tests {
         fn on_interrupt(&mut self, intr: Interrupt, ctx: &mut EngineCtx) {
             self.interrupts += 1;
             ctx.touch_read(crate::address_space::INSTR_BASE + (self.interrupts % 64) * 64);
+            if self.interrupts >= self.quit_after {
+                ctx.disarm_timer();
+                return;
+            }
             match intr {
                 Interrupt::MissOverflow => ctx.arm_miss_overflow(self.overflow_period),
                 Interrupt::Timer => ctx.arm_timer_in(self.timer_interval),
             }
         }
+    }
+
+    /// Loop-workload streams: most accesses follow a compute (fused when
+    /// chunked), and lone computes and phase markers stay marks.
+    fn loop_events(rng: &mut SmallRng, n: usize) -> Vec<Event> {
+        let mut out = Vec::with_capacity(2 * n);
+        for _ in 0..n {
+            match rng.random_range(0u64..16) {
+                0 => out.push(Event::Phase(rng.random_range(0u64..8) as u32)),
+                1 => out.push(Event::Compute(rng.random_range(1u64..40))),
+                _ => {
+                    if rng.random_range(0u64..4) > 0 {
+                        out.push(Event::Compute(rng.random_range(1u64..40)));
+                    }
+                    let addr = 0x1000_0000 + rng.random_range(0u64..256) * 64;
+                    out.push(Event::Access(MemRef::read(addr, 8)));
+                }
+            }
+        }
+        out
     }
 
     fn random_events(rng: &mut SmallRng, n: usize) -> Vec<Event> {
@@ -1698,6 +1677,7 @@ mod chunked_equivalence_tests {
                     interrupts: 0,
                     overflow_period: 13,
                     timer_interval: 997,
+                    quit_after: u64::MAX,
                 };
                 let mut e = Engine::new(cfg.clone());
                 let stats = if scalar {
@@ -1820,6 +1800,7 @@ mod chunked_equivalence_tests {
                     interrupts: 0,
                     overflow_period: 11,
                     timer_interval: 1_201,
+                    quit_after: u64::MAX,
                 };
                 let mut e = Engine::new(cfg.clone());
                 if scalar {
@@ -1840,6 +1821,80 @@ mod chunked_equivalence_tests {
                     .count();
                 assert!(churn_evs * 4 > n, "case {case}: not churn-heavy");
             }
+        }
+    }
+
+    /// The armed → quiet switch, under every run limit: interrupts arrive
+    /// until the handler stops re-arming, and from then on the access runs
+    /// go in bulk — where a search spends most of its references once it
+    /// ends. Fault-free, since a fault model keeps the PMU latch-capable.
+    #[test]
+    fn armed_to_quiet_switch_matches_scalar_run() {
+        let mut rng = SmallRng::seed_from_u64(0x0A12_0E0D);
+        for case in 0..40 {
+            let n = rng.random_range(2_000usize..8_000);
+            let events = loop_events(&mut rng, n);
+            let decls = vec![
+                ObjectDecl::global("A", 0x1000_0000, 64 * 128),
+                ObjectDecl::global("B", 0x1000_2000, 64 * 128),
+            ];
+            let cfg = SimConfig {
+                cache: CacheConfig {
+                    size_bytes: 4096,
+                    line_bytes: 64,
+                    assoc: 2,
+                    hit_cycles: 1,
+                    miss_penalty: 10,
+                    writeback_penalty: 0,
+                    policy: Default::default(),
+                },
+                l1: None,
+                pmu: PmuConfig { region_counters: 2 },
+                costs: CostModel {
+                    interrupt_delivery: 300,
+                    ..CostModel::free()
+                },
+                faults: Default::default(),
+                timeline: None,
+            };
+            let limit = match case % 5 {
+                0 => RunLimit::Exhausted,
+                1 => RunLimit::AppMisses(rng.random_range(200u64..4_000)),
+                2 => RunLimit::AppAccesses(rng.random_range(500u64..6_000)),
+                3 => RunLimit::Cycles(rng.random_range(20_000u64..200_000)),
+                _ => RunLimit::AppCycles(rng.random_range(20_000u64..150_000)),
+            };
+            let quit_after = rng.random_range(1u64..30);
+            let overflow_period = rng.random_range(5u64..40);
+            let timer_interval = rng.random_range(500u64..3_000);
+            let run = |scalar: bool| {
+                let mut p = TraceProgram::new("loop", decls.clone(), events.clone());
+                let mut h = BusyHandler {
+                    interrupts: 0,
+                    overflow_period,
+                    timer_interval,
+                    quit_after,
+                };
+                let mut e = Engine::new(cfg.clone());
+                let stats = if scalar {
+                    e.run_scalar(&mut p, &mut h, limit)
+                } else {
+                    e.run(&mut p, &mut h, limit)
+                };
+                (stats, h.interrupts)
+            };
+            let (chunked, chunked_intrs) = run(false);
+            let (scalar, scalar_intrs) = run(true);
+            assert_stats_equal(&chunked, &scalar, case);
+            assert_eq!(
+                chunked_intrs, scalar_intrs,
+                "case {case}: handler interrupts"
+            );
+            // The handler quit, so the rest of the run was quiet.
+            assert!(
+                chunked_intrs >= quit_after,
+                "case {case}: handler never quit"
+            );
         }
     }
 

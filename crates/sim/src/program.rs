@@ -72,10 +72,11 @@ pub enum Event {
     Phase(u32),
 }
 
-/// Default capacity (in events) of an [`EventChunk`] as sized by
-/// [`EventChunk::default`]. Large enough to amortise per-chunk dispatch
-/// to nothing, small enough that an over-pulled tail (events generated
-/// past a [`crate::RunLimit`]) stays cheap.
+/// Capacity (in events) of the chunks the engine pulls, and of
+/// [`EventChunk::standard`] and [`EventChunk::default`]. Large enough to
+/// amortise per-chunk dispatch to nothing, small enough that an
+/// over-pulled tail (events generated past a [`crate::RunLimit`]) stays
+/// cheap.
 pub const CHUNK_CAPACITY: usize = 1024;
 
 /// A reusable batch of program events, stored run-length style.
@@ -99,8 +100,11 @@ pub const CHUNK_CAPACITY: usize = 1024;
 /// densely: `pre_cycles[i]` holds the compute cycles charged immediately
 /// before `refs[i]` — after any marks at position `i` — and `pre_cycles`
 /// is either empty (unused) or exactly `refs.len()` long, with `0`
-/// meaning "no compute before this access".
-#[derive(Debug, Clone, Default)]
+/// meaning "no compute before this access". The native producers and
+/// the default [`Program::next_chunk`] adapter fuse every such pair, so
+/// a `Compute` mark is zero-cycle or not directly followed by an access
+/// in the same chunk.
+#[derive(Debug, Clone)]
 pub struct EventChunk {
     /// Dense access run, in program order.
     pub refs: Vec<MemRef>,
@@ -162,9 +166,6 @@ impl EventChunk {
         self.marks.clear();
         self.pre_cycles.clear();
         self.pre_count = 0;
-        if self.capacity == 0 {
-            self.capacity = CHUNK_CAPACITY;
-        }
     }
 
     /// Append one access. Caller must ensure the chunk is not full.
@@ -241,6 +242,13 @@ impl EventChunk {
     }
 }
 
+impl Default for EventChunk {
+    /// The standard engine-sized chunk ([`CHUNK_CAPACITY`] events).
+    fn default() -> Self {
+        EventChunk::standard()
+    }
+}
+
 /// A simulated program: static object declarations plus an event stream.
 pub trait Program {
     /// Short name of the application (used in reports).
@@ -256,17 +264,37 @@ pub trait Program {
     /// Fill `buf` with the next batch of events and return how many were
     /// added (0 means end of program). `buf` arrives reset.
     ///
-    /// The default implementation adapts [`Program::next_event`]; hot
-    /// producers override it to fill the dense access run directly. The
+    /// The default implementation adapts [`Program::next_event`] and folds
+    /// as it goes: a nonzero `Compute` directly followed by an access is
+    /// fused into `pre_cycles` ([`EventChunk::push_compute_ref`]). It holds
+    /// at most one compute back to see what follows, and pushes it as a
+    /// mark when that is not an access or the chunk is full. Hot producers
+    /// override it to fill the dense access run directly. Either way the
     /// flattened contents of `buf` must equal what repeated `next_event`
     /// calls would have produced — the engine relies on this to keep
     /// chunked execution bit-identical to scalar execution.
     fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        while !buf.is_full() {
-            match self.next_event() {
-                Some(e) => buf.push_event(e),
-                None => break,
+        let mut held: Option<Cycle> = None;
+        // A held compute and the next event take two slots either way:
+        // fused as a pair, or as a mark then the event.
+        while buf.remaining() > usize::from(held.is_some()) {
+            let Some(e) = self.next_event() else {
+                break;
+            };
+            if let Some(c) = held.take() {
+                if let Event::Access(r) = e {
+                    buf.push_compute_ref(c, r);
+                    continue;
+                }
+                buf.push_mark(Event::Compute(c));
             }
+            match e {
+                Event::Compute(c) if c > 0 => held = Some(c),
+                e => buf.push_event(e),
+            }
+        }
+        if let Some(c) = held {
+            buf.push_mark(Event::Compute(c));
         }
         buf.len()
     }
@@ -296,7 +324,7 @@ impl<P: Program + ?Sized> Program for Box<P> {
 pub struct TraceProgram {
     name: String,
     objects: Vec<ObjectDecl>,
-    events: std::iter::Peekable<std::vec::IntoIter<Event>>,
+    events: std::vec::IntoIter<Event>,
 }
 
 impl TraceProgram {
@@ -304,7 +332,7 @@ impl TraceProgram {
         TraceProgram {
             name: name.into(),
             objects,
-            events: events.into_iter().peekable(),
+            events: events.into_iter(),
         }
     }
 }
@@ -321,41 +349,51 @@ impl Program for TraceProgram {
     fn next_event(&mut self) -> Option<Event> {
         self.events.next()
     }
-
-    /// Chunked replay with `Compute` → `Access` pair fusion: a compute
-    /// directly followed by an access lands in the dense `pre_cycles`
-    /// side array. This keeps replayed traces on the same fast engine
-    /// path as live loop workloads, and routes every trace-driven test
-    /// through the fused representation.
-    fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        // A fused pair counts as two events; stop while two slots remain
-        // so the pair never splits across a chunk boundary.
-        while buf.remaining() >= 2 {
-            match self.events.next() {
-                Some(Event::Compute(c)) if matches!(self.events.peek(), Some(Event::Access(_))) => {
-                    let Some(Event::Access(r)) = self.events.next() else {
-                        unreachable!("peek said access");
-                    };
-                    buf.push_compute_ref(c, r);
-                }
-                Some(e) => buf.push_event(e),
-                None => break,
-            }
-        }
-        if buf.is_empty() && !buf.is_full() {
-            // Capacity-1 chunk: fall back to a single unfused event so a
-            // nonempty stream never reports end-of-program.
-            if let Some(e) = self.events.next() {
-                buf.push_event(e);
-            }
-        }
-        buf.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
+
+    /// Implements only `next_event`, so its chunks come from the default
+    /// `next_chunk` adapter.
+    struct EventsOnly(std::vec::IntoIter<Event>);
+
+    impl Program for EventsOnly {
+        fn name(&self) -> &str {
+            "events-only"
+        }
+
+        fn static_objects(&self) -> Vec<ObjectDecl> {
+            Vec::new()
+        }
+
+        fn next_event(&mut self) -> Option<Event> {
+            self.0.next()
+        }
+    }
+
+    /// A stream with every case the adapter's fold must get right: runs
+    /// of computes, zero-cycle computes, computes before Phase, Alloc and
+    /// Free marks, and a trailing compute.
+    fn fold_stream(rng: &mut SmallRng, n: u64) -> Vec<Event> {
+        let mut out: Vec<Event> = (0..n)
+            .map(|i| match rng.random_range(0u64..8) {
+                0..=2 => Event::Compute(rng.random_range(0u64..4)),
+                3 => Event::Phase(i as u32),
+                4 => Event::Alloc {
+                    base: i << 12,
+                    size: 64,
+                    name: None,
+                },
+                5 => Event::Free { base: i << 12 },
+                _ => Event::Access(MemRef::read(i * 64, 8)),
+            })
+            .collect();
+        out.push(Event::Compute(9));
+        out
+    }
 
     #[test]
     fn object_decl_geometry() {
@@ -439,23 +477,61 @@ mod tests {
         assert_eq!(replayed, events);
     }
 
+    /// The default adapter at every small capacity: chunks stay within
+    /// capacity, flatten back to the stream, and fuse every nonzero
+    /// compute that an access follows within the chunk — so a `Compute`
+    /// mark that is the last mark before an access has a fused compute
+    /// after it.
     #[test]
     fn chunk_capacity_bounds_total_events() {
-        let events: Vec<Event> = (0..10)
+        let pairs: Vec<Event> = (0..10)
             .flat_map(|i| [Event::Compute(1), Event::Access(MemRef::read(i * 64, 8))])
             .collect();
-        let mut p = TraceProgram::new("t", vec![], events.clone());
-        let mut chunk = EventChunk::with_capacity(7);
-        let mut replayed = Vec::new();
-        loop {
-            chunk.reset();
-            if p.next_chunk(&mut chunk) == 0 {
-                break;
+        let mut rng = SmallRng::seed_from_u64(0xF01D);
+        let mut streams = vec![pairs];
+        streams.extend((0..16).map(|_| {
+            let n = rng.random_range(1u64..60);
+            fold_stream(&mut rng, n)
+        }));
+        for events in &streams {
+            for capacity in 1..=9 {
+                let mut p = EventsOnly(events.clone().into_iter());
+                let mut chunk = EventChunk::with_capacity(capacity);
+                let mut replayed = Vec::new();
+                loop {
+                    chunk.reset();
+                    if p.next_chunk(&mut chunk) == 0 {
+                        break;
+                    }
+                    assert!(chunk.len() <= capacity);
+                    for (k, (pos, m)) in chunk.marks.iter().enumerate() {
+                        let at = *pos as usize;
+                        let last_at_p = chunk.marks.get(k + 1).is_none_or(|(q, _)| q != pos);
+                        if matches!(m, Event::Compute(c) if *c > 0)
+                            && last_at_p
+                            && at < chunk.refs.len()
+                        {
+                            assert!(
+                                chunk.pre_cycles.get(at).is_some_and(|&c| c > 0),
+                                "capacity {capacity}: unfused compute before access {at}"
+                            );
+                        }
+                    }
+                    replayed.extend(chunk.to_events());
+                }
+                assert_eq!(&replayed, events, "capacity {capacity}");
             }
-            assert!(chunk.len() <= 7);
-            replayed.extend(chunk.to_events());
         }
-        assert_eq!(replayed, events);
+    }
+
+    #[test]
+    fn default_chunk_is_standard_sized() {
+        let mut chunk = EventChunk::default();
+        assert_eq!(chunk.capacity(), CHUNK_CAPACITY);
+        let access = Event::Access(MemRef::read(0x40, 8));
+        let mut p = TraceProgram::new("t", vec![], vec![access.clone()]);
+        assert_eq!(p.next_chunk(&mut chunk), 1);
+        assert_eq!(chunk.to_events(), vec![access]);
     }
 
     #[test]

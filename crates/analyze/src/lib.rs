@@ -65,7 +65,8 @@ use std::collections::HashMap;
 
 use cachescope_obs::Json;
 use cachescope_sim::{
-    CacheConfig, Event, EventChunk, MemRef, ObjectDecl, Program, ReplacementPolicy, CHUNK_CAPACITY,
+    extent_of, CacheConfig, EpochIndex, Event, EventChunk, MemRef, ObjectDecl, Program,
+    ReplacementPolicy, CHUNK_CAPACITY,
 };
 
 /// How the run whose misses we are bounding is limited.
@@ -478,13 +479,6 @@ impl Tally {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Extent {
-    base: u64,
-    end: u64,
-    obj: u32,
-}
-
 /// The streaming abstract interpreter. Feed it statics, then events in
 /// program order (or drive it with [`analyze_program`]); `finish`
 /// produces the [`BoundsReport`].
@@ -504,7 +498,8 @@ pub struct Analyzer {
     tallies: Vec<Tally>,
     by_name: HashMap<String, u32>,
     unmapped: Tally,
-    extents: Vec<Extent>,
+    /// Live extents → tally ids, under the engine's extent rule.
+    extents: EpochIndex,
     current_phase: u32,
     phase_seen: u64,
     phase_overflow: bool,
@@ -540,7 +535,7 @@ impl Analyzer {
             tallies: Vec::new(),
             by_name: HashMap::new(),
             unmapped: Tally::named(UNMAPPED.to_string()),
-            extents: Vec::new(),
+            extents: EpochIndex::new(),
             current_phase: 0,
             phase_seen: 0,
             phase_overflow: false,
@@ -578,32 +573,14 @@ impl Analyzer {
     }
 
     fn insert_extent(&mut self, name: &str, base: u64, size: u64) {
-        if size == 0 {
-            return;
+        // The engine refuses what the shared rule refuses (CS-W001,
+        // W005, W006, P001); a contested range keeps attributing to the
+        // prior extent, and a refused object gets no tally.
+        let (base, end) = extent_of(base, size);
+        if self.extents.check(base, end).is_ok() {
+            let obj = self.tally_for(name);
+            let _ = self.extents.insert(base, end, obj);
         }
-        let end = base.saturating_add(size);
-        let idx = self.extents.partition_point(|e| e.base < base);
-        let clash = (idx > 0 && self.extents[idx - 1].end > base)
-            || (idx < self.extents.len() && self.extents[idx].base < end);
-        if clash {
-            // The engine rejects overlapping extents (CS-W001/W005); the
-            // contested range keeps attributing to the prior extent.
-            return;
-        }
-        let obj = self.tally_for(name);
-        self.extents.insert(idx, Extent { base, end, obj });
-    }
-
-    fn remove_extent(&mut self, base: u64) {
-        if let Ok(idx) = self.extents.binary_search_by(|e| e.base.cmp(&base)) {
-            self.extents.remove(idx);
-        }
-    }
-
-    fn resolve(&self, addr: u64) -> Option<u32> {
-        let idx = self.extents.partition_point(|e| e.base <= addr);
-        let e = self.extents.get(idx.wrapping_sub(1))?;
-        (addr < e.end).then_some(e.obj)
     }
 
     /// Interpret one application access.
@@ -670,8 +647,8 @@ impl Analyzer {
             None => (HIST_BUCKETS - 1, true),
         };
 
-        let tally = match self.resolve(r.addr) {
-            Some(id) => &mut self.tallies[id as usize],
+        let tally = match self.extents.resolve(r.addr) {
+            Some((_, _, id)) => &mut self.tallies[id as usize],
             None => &mut self.unmapped,
         };
         tally.accesses += 1;
@@ -726,7 +703,9 @@ impl Analyzer {
                 let display = name.clone().unwrap_or_else(|| format!("{:#x}", *base));
                 self.insert_extent(&display, *base, *size);
             }
-            Event::Free { base } => self.remove_extent(*base),
+            Event::Free { base } => {
+                self.extents.remove(*base);
+            }
             Event::Phase(p) => {
                 self.current_phase = *p;
                 if *p >= MAX_PHASE_BITS {
@@ -1092,6 +1071,31 @@ mod tests {
             "contested range attributes to the prior live extent"
         );
         assert!(r.object("clash").is_none());
+    }
+
+    #[test]
+    fn wrapping_and_empty_extents_are_refused_like_the_engine() {
+        let mut a = Analyzer::new("t", cfg());
+        a.declare_static(&ObjectDecl::global("a", 0x4000, 4096));
+        // A wrap used to saturate to an extent reaching the top of the
+        // address space; the engine refuses it (CS-P001).
+        a.event(&Event::Alloc {
+            base: 0xffff_ffff_ffff_f000,
+            size: 8192,
+            name: Some("wrap".to_string()),
+        });
+        a.event(&Event::Alloc {
+            base: 0x4000,
+            size: 0,
+            name: Some("empty".to_string()),
+        });
+        a.access(&read(0xffff_ffff_ffff_f800));
+        a.access(&read(0x4000));
+        let r = a.finish();
+        assert!(r.object("wrap").is_none());
+        assert!(r.object("empty").is_none());
+        assert_eq!(r.object("a").map(|o| o.accesses), Some(1));
+        assert_eq!(r.unmapped.accesses, 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("CS-T004", "trace record is malformed or unreadable"),
     ("CS-P001", "object extent wraps the address space"),
     ("CS-P002", "counter width wraps within the configured run"),
-    ("CS-P003", "sampling period is or can reach zero"),
+    ("CS-P003", "sampling period or adaptive target is illegal"),
     ("CS-P004", "zero PMU counters configured"),
     ("CS-P005", "search counter or logical-way arity is unusable"),
     ("CS-P006", "fault knob is out of range"),

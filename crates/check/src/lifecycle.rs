@@ -10,7 +10,9 @@
 //! Codes: `CS-W001` alloc over a live block, `CS-W002` free without a
 //! matching allocation, `CS-W003` reference into freed memory, `CS-W004`
 //! blocks leaked at exit (warning), `CS-W005` object extents overlap,
-//! `CS-W006` zero-sized extent (warning).
+//! `CS-W006` zero-sized extent (warning), and `CS-P001` for an
+//! allocation whose extent wraps the address space (the code
+//! [`crate::pmu::check_objects`] gives a wrapping static).
 
 use std::collections::BTreeMap;
 
@@ -134,6 +136,10 @@ impl LifecycleChecker {
                 )
                 .at_line(pos),
             );
+        }
+        let what = format!("allocation '{label}'");
+        if let Some(d) = crate::pmu::wrap_diag(&what, base, size, &self.source) {
+            self.push(d.at_line(pos));
         }
         if let Some((b, (e, n))) = self
             .live

@@ -8,12 +8,14 @@
 //! simulation runs.
 //!
 //! Codes: `CS-P001` region base above bound, `CS-P002` counter width vs.
-//! run length (wraparound ambiguity, warning), `CS-P003` sampling period
-//! can reach zero, `CS-P004` zero PMU counters, `CS-P005` n-way search
-//! arity vs. counter count, `CS-P006` fault knob out of range.
+//! run length (wraparound ambiguity, warning), `CS-P003` a sampling
+//! period that breaks [`cachescope_core::SamplingPeriod::check`] (it can
+//! reach zero, or its adaptive target is not positive), `CS-P004` zero
+//! PMU counters, `CS-P005` n-way search arity vs. counter count,
+//! `CS-P006` fault knob out of range.
 
 use cachescope_campaign::Cell;
-use cachescope_core::{FaultConfig, SamplingPeriod, TechniqueConfig};
+use cachescope_core::{FaultConfig, TechniqueConfig};
 use cachescope_sim::{ObjectDecl, RunLimit};
 
 use crate::diag::Diagnostic;
@@ -22,24 +24,26 @@ use crate::diag::Diagnostic;
 /// base/bound pair is legal only when `base + size` does not wrap the
 /// address space (the bound register would end up below the base).
 pub fn check_objects(objects: &[ObjectDecl], source: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for o in objects {
-        if o.base.checked_add(o.size).is_none() {
-            diags.push(
-                Diagnostic::error(
-                    "CS-P001",
-                    source,
-                    format!(
-                        "object '{}' extent {:#x}+{:#x} wraps the address space: a region \
-                         counter programmed over it would have bound < base",
-                        o.name, o.base, o.size
-                    ),
-                )
-                .with_hint("base + size must not overflow u64"),
-            );
-        }
-    }
-    diags
+    objects
+        .iter()
+        .filter_map(|o| wrap_diag(&format!("object '{}'", o.name), o.base, o.size, source))
+        .collect()
+}
+
+/// CS-P001 for `what` (a static or an allocation) when `base + size`
+/// wraps the address space.
+pub(crate) fn wrap_diag(what: &str, base: u64, size: u64, source: &str) -> Option<Diagnostic> {
+    base.checked_add(size).is_none().then(|| {
+        Diagnostic::error(
+            "CS-P001",
+            source,
+            format!(
+                "{what} extent {base:#x}+{size:#x} wraps the address space: a region counter \
+                 programmed over it would have bound < base"
+            ),
+        )
+        .with_hint("base + size must not overflow u64")
+    })
 }
 
 /// Check one fully-resolved campaign cell's PMU-facing configuration.
@@ -58,33 +62,16 @@ pub fn check_cell(cell: &Cell, source: &str) -> Vec<Diagnostic> {
     }
     match &cell.technique {
         TechniqueConfig::None => {}
-        TechniqueConfig::Sampling(cfg) => match cfg.period {
-            SamplingPeriod::Fixed(0) => {
+        TechniqueConfig::Sampling(cfg) => {
+            if let Err(why) = cfg.period.check() {
                 diags.push(
-                    Diagnostic::error(
-                        "CS-P003",
-                        source,
-                        format!("cell {who}: sampling period is zero"),
-                    )
-                    .with_hint("the PMU cannot arm a zero-period miss overflow"),
+                    Diagnostic::error("CS-P003", source, format!("cell {who}: {why}")).with_hint(
+                        "the PMU is armed with every drawn period, so each must be a positive \
+                         miss count",
+                    ),
                 );
             }
-            SamplingPeriod::Jittered { base, spread, .. } if spread >= base => {
-                diags.push(
-                    Diagnostic::error(
-                        "CS-P003",
-                        source,
-                        format!(
-                            "cell {who}: jittered period [{}-{spread}, {}+{spread}] can reach \
-                             zero",
-                            base, base
-                        ),
-                    )
-                    .with_hint("keep spread < base so every drawn period is positive"),
-                );
-            }
-            _ => {}
-        },
+        }
         TechniqueConfig::Search(cfg) => {
             if cell.counters < 2 {
                 diags.push(
@@ -240,6 +227,12 @@ mod tests {
         assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"]);
         c.technique = TechniqueConfig::Sampling(SamplerConfig::jittered(100, 100, 1));
         assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"]);
+        for target in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            c.technique = TechniqueConfig::Sampling(SamplerConfig::adaptive(target));
+            assert_eq!(codes(&check_cell(&c, "t")), ["CS-P003"], "{target}");
+        }
+        c.technique = TechniqueConfig::Sampling(SamplerConfig::adaptive(5.0));
+        assert!(check_cell(&c, "t").is_empty());
     }
 
     #[test]

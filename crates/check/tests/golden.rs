@@ -179,6 +179,10 @@ fn base_cell() -> Cell {
 fn p001_extent_wraps_address_space() {
     let objs = [ObjectDecl::global("x", u64::MAX, 2)];
     assert_eq!(codes(&pmu::check_objects(&objs, "golden")), ["CS-P001"]);
+    // A wrapping allocation gets the same code, at its line.
+    let diags = check_text_trace("M fffffffffffff000 8192 w\nF fffffffffffff000\n");
+    assert_eq!(codes(&diags), ["CS-P001"]);
+    assert_eq!(diags[0].line, 3);
 }
 
 #[test]

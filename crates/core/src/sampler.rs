@@ -46,6 +46,27 @@ pub enum SamplingPeriod {
     },
 }
 
+impl SamplingPeriod {
+    /// The period-legality rule behind [`crate::TechniqueConfig::parse_spec`]
+    /// and `check`'s CS-P003: a fixed period must be non-zero, a jittered
+    /// spread below its base, an adaptive target finite and positive.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            SamplingPeriod::Fixed(0) => Err("sampling period is zero".to_string()),
+            SamplingPeriod::Jittered { base, spread, .. } if spread >= base => Err(format!(
+                "jittered period [{base}-{spread}, {base}+{spread}] can reach zero"
+            )),
+            SamplingPeriod::Adaptive {
+                target_overhead_pct: t,
+                ..
+            } if !(t.is_finite() && t > 0.0) => Err(format!(
+                "adaptive overhead target {t}% is not a finite positive percentage"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Sampler configuration.
 #[derive(Debug, Clone)]
 pub struct SamplerConfig {
@@ -104,12 +125,9 @@ impl SamplerConfig {
     }
 
     /// Self-tuning sampler targeting `target_overhead_pct` percent of
-    /// execution time spent in instrumentation.
+    /// execution time spent in instrumentation. The target is legal when
+    /// [`SamplingPeriod::check`] accepts it.
     pub fn adaptive(target_overhead_pct: f64) -> Self {
-        assert!(
-            target_overhead_pct > 0.0,
-            "overhead target must be positive"
-        );
         SamplerConfig {
             period: SamplingPeriod::Adaptive {
                 initial: 10_000,

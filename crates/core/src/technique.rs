@@ -61,26 +61,21 @@ impl TechniqueConfig {
         fn num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
             v.parse().map_err(|_| format!("invalid {what}: {v}"))
         }
+        let sampling = |mut cfg: SamplerConfig| {
+            cfg.period
+                .check()
+                .map_err(|why| format!("invalid technique {spec}: {why}"))?;
+            cfg.aggregate_heap_names = aggregate;
+            Ok(TechniqueConfig::Sampling(cfg))
+        };
         match spec.split(':').collect::<Vec<_>>().as_slice() {
-            ["sampling", k] => {
-                let mut cfg = SamplerConfig::fixed(num(k, "sampling period")?);
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
-            ["adaptive", pct] => {
-                let mut cfg = SamplerConfig::adaptive(num(pct, "overhead target")?);
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
-            ["jittered", base, spread] => {
-                let mut cfg = SamplerConfig::jittered(
-                    num(base, "jitter base")?,
-                    num(spread, "jitter spread")?,
-                    0xC11,
-                );
-                cfg.aggregate_heap_names = aggregate;
-                Ok(TechniqueConfig::Sampling(cfg))
-            }
+            ["sampling", k] => sampling(SamplerConfig::fixed(num(k, "sampling period")?)),
+            ["adaptive", pct] => sampling(SamplerConfig::adaptive(num(pct, "overhead target")?)),
+            ["jittered", base, spread] => sampling(SamplerConfig::jittered(
+                num(base, "jitter base")?,
+                num(spread, "jitter spread")?,
+                0xC11,
+            )),
             ["search"] => Ok(TechniqueConfig::Search(SearchConfig {
                 interval,
                 log_progress,
@@ -177,7 +172,19 @@ mod tests {
             TechniqueConfig::parse_spec("none", 0, false, false).unwrap(),
             TechniqueConfig::None
         ));
-        for bad in ["sampling", "sampling:x", "adaptive:", "search:x", "magic"] {
+        for bad in [
+            "sampling",
+            "sampling:x",
+            "adaptive:",
+            "search:x",
+            "magic",
+            // Parse, but break the period-legality rule.
+            "sampling:0",
+            "jittered:0:0",
+            "adaptive:0",
+            "adaptive:-1",
+            "adaptive:NaN",
+        ] {
             assert!(
                 TechniqueConfig::parse_spec(bad, 0, false, false).is_err(),
                 "{bad}"

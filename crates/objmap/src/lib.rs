@@ -37,7 +37,7 @@ pub use trace::AccessTrace;
 // The shared epoch-versioned extent index (defined in `cachescope-sim`
 // so the engine's ground truth can use it too) is re-exported here as
 // the canonical resolve structure behind [`SymTab`] and [`ObjectMap`].
-pub use cachescope_sim::{EpochIndex, ExtentMemo, ExtentOverlap};
+pub use cachescope_sim::{EpochIndex, ExtentError, ExtentMemo};
 
 /// A simulated (virtual) memory address.
 pub type Addr = u64;

@@ -10,7 +10,7 @@
 //!   the extents of the regions each time they are split so that objects
 //!   do not span region boundaries", section 2.2).
 
-use cachescope_sim::{AddressSpace, EpochIndex, ObjectDecl, ObjectKind};
+use cachescope_sim::{extent_of, AddressSpace, EpochIndex, ExtentMemo, ObjectDecl, ObjectKind};
 
 use crate::object::{MemoryObject, ObjectId};
 use crate::rbtree::RbTree;
@@ -29,92 +29,17 @@ pub struct ObjectMap {
     coalesce_sites: bool,
     /// Live block count per object id (used to retire coalesced sites).
     live_blocks: Vec<u32>,
-    /// Flat mirror of the live heap-block extents, kept in lock-step with
-    /// the tree. Extent queries answer from here in O(log n) instead of
-    /// walking every tree node.
+    /// The live heap blocks, kept in lock-step with the tree. It is the
+    /// gate: a block goes into the tree only once the shared extent rule
+    /// accepts it here. Its epoch moves exactly when the tree does, so
+    /// it versions the memo too, and extent queries answer from it in
+    /// O(log n) instead of walking every tree node.
     live_heap: EpochIndex,
-    /// Allocator-event counter versioning every memo entry: bumping it
-    /// invalidates the whole cache in O(1), stale entries are simply
-    /// never replayed.
-    epoch: u64,
-    /// Direct-mapped memo of recent successful lookups (see [`MemoCache`]).
-    memo: MemoCache,
-    /// Heap blocks discarded because the tree arena hit its segment cap.
-    /// Attribution for those blocks degrades to "unknown" but the run
-    /// keeps going.
+    /// Recent successful lookups and the walks they made (see
+    /// [`ObjectMap::lookup`]), tagged with `live_heap`'s epoch.
+    memo: ExtentMemo<(ObjectId, AccessTrace)>,
+    /// See [`ObjectMap::dropped_blocks`].
     dropped_blocks: u64,
-}
-
-/// See [`ObjectMap::lookup`]. Any address inside `[base, end)` follows the
-/// same symbol-table search path and the same heap-tree walk as the
-/// memoised address (leaf extents contain no other extent's boundary, so
-/// every comparison resolves identically), which makes replaying the saved
-/// trace exactly equivalent to re-running the walks.
-#[derive(Debug, Clone)]
-struct LookupMemo {
-    base: Addr,
-    end: Addr,
-    id: ObjectId,
-    /// [`ObjectMap::epoch`] at fill time; a mismatch means an allocator
-    /// event happened since and the entry is dead.
-    epoch: u64,
-    reads: Vec<Addr>,
-    writes: Vec<Addr>,
-}
-
-const MEMO_SLOTS: usize = 32;
-
-/// Small direct-mapped cache of [`LookupMemo`] entries.
-///
-/// The old one-entry memo thrashed whenever misses alternated between two
-/// hot objects (an A-B-A-B interleave re-walked both structures on every
-/// sample). Slots are indexed by a hash of the *miss address* at 4 KiB
-/// granularity, so distinct hot blocks usually occupy distinct slots;
-/// `recent` remembers the slot that hit or filled last, which keeps long
-/// streaming sweeps through one large block on the fast path even as the
-/// sweep crosses page-hash boundaries.
-#[derive(Debug, Clone)]
-struct MemoCache {
-    slots: Vec<Option<LookupMemo>>,
-    recent: usize,
-}
-
-impl MemoCache {
-    fn new() -> Self {
-        MemoCache {
-            slots: (0..MEMO_SLOTS).map(|_| None).collect(),
-            recent: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(addr: Addr) -> usize {
-        (((addr >> 12) ^ (addr >> 17)) as usize) & (MEMO_SLOTS - 1)
-    }
-
-    /// Replay the memoised trace for `addr` if a live entry covers it.
-    #[inline]
-    fn replay(&mut self, addr: Addr, epoch: u64, trace: &mut AccessTrace) -> Option<ObjectId> {
-        let direct = Self::slot_of(addr);
-        for s in [self.recent, direct] {
-            if let Some(m) = &self.slots[s] {
-                if m.epoch == epoch && addr >= m.base && addr < m.end {
-                    trace.reads.extend_from_slice(&m.reads);
-                    trace.writes.extend_from_slice(&m.writes);
-                    self.recent = s;
-                    return Some(m.id);
-                }
-            }
-        }
-        None
-    }
-
-    #[inline]
-    fn fill(&mut self, addr: Addr, memo: LookupMemo) {
-        let s = Self::slot_of(addr);
-        self.slots[s] = Some(memo);
-        self.recent = s;
-    }
 }
 
 impl ObjectMap {
@@ -151,7 +76,8 @@ impl ObjectMap {
                 kind: decl.kind,
                 live: true,
             });
-            extents.push((decl.base, decl.end(), id));
+            let (base, end) = extent_of(decl.base, decl.size);
+            extents.push((base, end, id));
         }
         let symtab_base =
             aspace.alloc_instr(extents.len().max(1) as u64 * crate::symtab::ENTRY_BYTES);
@@ -167,8 +93,7 @@ impl ObjectMap {
             coalesce_sites,
             live_blocks,
             live_heap: EpochIndex::new(),
-            epoch: 0,
-            memo: MemoCache::new(),
+            memo: ExtentMemo::default(),
             dropped_blocks: 0,
         }
     }
@@ -197,7 +122,10 @@ impl ObjectMap {
     ///
     /// With site coalescing enabled, a named block that touches (or lies
     /// inside) the extent of an existing live site of the same name joins
-    /// that site's logical object instead of creating a new one.
+    /// that site's logical object instead of creating a new one. A block
+    /// the extent rule refuses, or one past the arena cap, is dropped: it
+    /// costs no tree traffic, and a new object made for it is retired at
+    /// once.
     pub fn on_alloc(
         &mut self,
         base: Addr,
@@ -205,60 +133,51 @@ impl ObjectMap {
         name: Option<&str>,
         trace: &mut AccessTrace,
     ) -> ObjectId {
-        self.epoch += 1;
-        let end = base + size.max(1);
-        if self.coalesce_sites {
-            if let Some(n) = name {
-                let site = self.objects.iter().position(|o| {
-                    o.live
-                        && o.kind == ObjectKind::Heap
-                        && o.name == n
-                        && base <= o.end()
-                        && end >= o.base
-                });
-                if let Some(i) = site {
-                    let id = self.objects[i].id;
-                    match self.heap.insert(base, end, id, trace) {
-                        Ok(()) => {
-                            let o = &mut self.objects[i];
-                            let new_base = o.base.min(base);
-                            let new_end = o.end().max(end);
-                            o.base = new_base;
-                            o.size = new_end - new_base;
-                            self.live_blocks[i] += 1;
-                            let _ = self.live_heap.insert(base, end, id.0);
-                        }
-                        Err(_) => self.dropped_blocks += 1,
-                    }
-                    return id;
-                }
-            }
-        }
-        // check:allow(ObjectId is u32 by design; a map holds far fewer than 2^32 objects)
-        let id = ObjectId(self.objects.len() as u32);
-        self.objects.push(MemoryObject {
-            id,
-            name: name
-                .map(String::from)
-                .unwrap_or_else(|| MemoryObject::anon_name(base)),
-            base,
-            size,
-            kind: ObjectKind::Heap,
-            live: true,
+        let (base, end) = extent_of(base, size);
+        let site = match name {
+            Some(n) if self.coalesce_sites => self.objects.iter().position(|o| {
+                o.live
+                    && o.kind == ObjectKind::Heap
+                    && o.name == n
+                    && base <= o.end()
+                    && end >= o.base
+            }),
+            _ => None,
+        };
+        let i = site.unwrap_or_else(|| {
+            self.objects.push(MemoryObject {
+                // check:allow(ObjectId is u32 by design; a map holds far fewer than 2^32 objects)
+                id: ObjectId(self.objects.len() as u32),
+                name: name
+                    .map(String::from)
+                    .unwrap_or_else(|| MemoryObject::anon_name(base)),
+                base,
+                size,
+                kind: ObjectKind::Heap,
+                live: true,
+            });
+            self.live_blocks.push(0);
+            self.objects.len() - 1
         });
-        self.live_blocks.push(1);
-        match self.heap.insert(base, end, id, trace) {
-            Ok(()) => {
-                let _ = self.live_heap.insert(base, end, id.0);
-            }
-            Err(_) => {
-                // Arena exhausted: keep the registry entry (the id was
-                // promised to the caller) but the block is untracked — it
-                // can never resolve or be freed, so retire it at once.
-                self.dropped_blocks += 1;
-                self.live_blocks[id.index()] = 0;
-                self.objects[id.index()].live = false;
-            }
+        let id = self.objects[i].id;
+        // Vet first, commit last: the tree can still refuse the block
+        // (arena cap), so `live_heap` takes it only after the tree has.
+        let tracked = self.live_heap.check(base, end).is_ok()
+            && self.heap.insert(base, end, id, trace).is_ok();
+        if tracked {
+            let _ = self.live_heap.insert(base, end, id.0);
+            let o = &mut self.objects[i];
+            let new_base = o.base.min(base);
+            let new_end = o.end().max(end);
+            o.base = new_base;
+            o.size = new_end - new_base;
+            self.live_blocks[i] += 1;
+        } else {
+            self.dropped_blocks += 1;
+            // The id was promised to the caller, but the block can never
+            // resolve or be freed: a site keeps its blocks, a new object
+            // retires at once.
+            self.objects[i].live = self.live_blocks[i] > 0;
         }
         id
     }
@@ -267,7 +186,6 @@ impl ObjectMap {
     /// block's object id if the base was known. A coalesced site stays
     /// live until its last block is freed.
     pub fn on_free(&mut self, base: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
-        self.epoch += 1;
         let (_, id) = self.heap.remove(base, trace)?;
         self.live_heap.remove(base);
         let i = id.index();
@@ -283,52 +201,44 @@ impl ObjectMap {
     /// Checks the (static, cheap) symbol table first, then the heap tree —
     /// the segments are disjoint so order only affects the recorded trace.
     ///
-    /// Successful lookups are memoised per containing leaf extent: a
-    /// repeat hit in any recently-resolved global or heap block replays
-    /// the saved access trace instead of re-walking the structures,
-    /// producing an identical result *and* identical recorded accesses
-    /// (see [`LookupMemo`] and [`MemoCache`]). Every allocator event
-    /// bumps the map epoch, which invalidates all memo entries at once.
+    /// Successful lookups are memoised per containing leaf extent with
+    /// the walk they recorded. Any address inside that extent follows the
+    /// same symbol-table search path and the same heap-tree walk (leaf
+    /// extents contain no other extent's boundary, so every comparison
+    /// resolves identically), so a repeat hit replays the saved walk and
+    /// records exactly the accesses a re-walk would. Every change to the
+    /// heap moves `live_heap`'s epoch, which invalidates all memo entries
+    /// at once.
     pub fn lookup(&mut self, addr: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
-        if let Some(id) = self.memo.replay(addr, self.epoch, trace) {
-            return Some(id);
+        let epoch = self.live_heap.epoch();
+        if let Some((id, walk)) = self.memo.get(addr, epoch) {
+            trace.reads.extend_from_slice(&walk.reads);
+            trace.writes.extend_from_slice(&walk.writes);
+            return Some(*id);
         }
-        let r0 = trace.reads.len();
-        let w0 = trace.writes.len();
+        let (r0, w0) = (trace.reads.len(), trace.writes.len());
         let hit = self
             .symtab
             .lookup(addr, trace)
             .or_else(|| self.heap.lookup(addr, trace));
         let (base, end, id) = hit?;
-        self.memo.fill(
-            addr,
-            LookupMemo {
-                base,
-                end,
-                id,
-                epoch: self.epoch,
-                reads: trace.reads[r0..].to_vec(),
-                writes: trace.writes[w0..].to_vec(),
-            },
-        );
+        let (memo_id, walk) = self.memo.fill_with(addr, base, end, epoch);
+        *memo_id = id;
+        walk.clear();
+        walk.reads.extend_from_slice(&trace.reads[r0..]);
+        walk.writes.extend_from_slice(&trace.writes[w0..]);
         Some(id)
     }
 
     /// The smallest base and largest end over all *live* objects.
     ///
-    /// Heap blocks answer from the flat extent mirror in O(log n); the
+    /// Both structures answer from their extent index in O(log n); the
     /// tree is not walked.
     pub fn extent(&self) -> Option<(Addr, Addr)> {
-        let mut lo = Addr::MAX;
-        let mut hi = 0;
-        if let Some((b, e)) = self.symtab.extent() {
-            lo = lo.min(b);
-            hi = hi.max(e);
-        }
-        if let Some((b, e)) = self.live_heap.extent() {
-            lo = lo.min(b);
-            hi = hi.max(e);
-        }
+        let (lo, hi) = [self.symtab.extent(), self.live_heap.extent()]
+            .into_iter()
+            .flatten()
+            .fold((Addr::MAX, 0), |(lo, hi), (b, e)| (lo.min(b), hi.max(e)));
         (lo < hi).then_some((lo, hi))
     }
 
@@ -345,9 +255,9 @@ impl ObjectMap {
         self.heap.segments()
     }
 
-    /// Heap blocks dropped because the tree arena reached its segment
-    /// cap. Non-zero means attribution is degraded, not wrong: dropped
-    /// blocks simply resolve to no object.
+    /// Heap blocks dropped because the extent rule refused them or the
+    /// tree arena reached its segment cap. Non-zero means attribution is
+    /// degraded, not wrong: dropped blocks simply resolve to no object.
     pub fn dropped_blocks(&self) -> u64 {
         self.dropped_blocks
     }
@@ -744,6 +654,36 @@ mod tests {
         let again = m.on_alloc(base_of(cap) + 0x1000, 32, None, &mut t());
         assert_eq!(m.dropped_blocks(), 1, "freed slot absorbed the alloc");
         assert!(m.object(again).live);
+    }
+
+    #[test]
+    fn refused_blocks_cost_no_tree_traffic() {
+        let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
+        let heap = 0x1_4100_0000u64;
+        let live = m.on_alloc(heap, 0x1000, Some("node"), &mut t());
+        let epoch = m.live_heap.epoch();
+        // Zero size at a live base, an overlap, a wrap, and an overlap
+        // that names the site: the extent rule refuses each before the
+        // tree sees it.
+        for (base, size, name) in [
+            (heap, 0, None),
+            (heap + 0x800, 0x1000, None),
+            (0xffff_ffff_ffff_f000, 0x2000, None),
+            (heap + 0x800, 0x1000, Some("node")),
+        ] {
+            let mut tr = t();
+            let id = m.on_alloc(base, size, name, &mut tr);
+            assert!(
+                tr.is_empty(),
+                "refused {base:#x}+{size:#x} touched the tree"
+            );
+            assert_eq!(m.object(id).live, id == live, "{base:#x}+{size:#x}");
+        }
+        assert_eq!(m.dropped_blocks(), 4);
+        assert_eq!(m.live_heap.epoch(), epoch, "memo tags did not move");
+        assert_eq!(m.object(live).size, 0x1000, "the site did not grow");
+        assert_eq!(m.lookup(heap + 0x800, &mut t()), Some(live));
+        assert_eq!(m.extent(), Some((0x1000_0000, heap + 0x1000)));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::Addr;
 use cachescope_sim::ObjectKind;
 
 /// Index of an object in an [`crate::ObjectMap`]'s registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {

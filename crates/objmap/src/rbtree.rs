@@ -238,9 +238,10 @@ impl RbTree {
     /// Insert the block `[base, end)` with object id `id`.
     ///
     /// Returns [`ArenaFull`] — before touching the tree or the trace —
-    /// when every node under the segment cap is live. Panics if a block
-    /// with the same base is already present (the instrumented allocator
-    /// can never produce duplicate bases).
+    /// when every node under the segment cap is live. Panics on an empty
+    /// block or a duplicate base: invariants, because
+    /// [`crate::ObjectMap`] vets every block through the shared extent
+    /// rule first.
     pub fn insert(
         &mut self,
         base: Addr,

@@ -523,6 +523,87 @@ fn simultaneous_identical_submissions_share_one_simulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Statics and allocations the shared extent rule refuses: overlapping
+/// and zero-size statics, a wrapping allocation and a zero-size one at a
+/// live static's base.
+fn hostile_extent_trace() -> Vec<u8> {
+    let objects = vec![
+        ObjectDecl::global("a", 0x10_000, 4096),
+        ObjectDecl::global("b", 0x10_800, 4096),
+        ObjectDecl::global("z", 0x20_000, 0),
+    ];
+    let mut events = vec![
+        Event::Alloc {
+            base: 0xffff_ffff_ffff_f000,
+            size: 8192,
+            name: Some("wrap".to_string()),
+        },
+        Event::Alloc {
+            base: 0x10_000,
+            size: 0,
+            name: None,
+        },
+    ];
+    for i in 0..400u64 {
+        events.push(Event::Compute(100));
+        events.push(Event::Access(MemRef::read(0x10_000 + (i * 64) % 8192, 8)));
+    }
+    let p = TraceProgram::new("hostile".to_string(), objects, events);
+    let mut rec = RecordingProgram::with_format(p, Vec::new(), TraceFormat::Bin);
+    while rec.next_event().is_some() {}
+    rec.into_writer()
+}
+
+#[test]
+fn hostile_extent_traces_are_served_like_batch() {
+    let (daemon, addr) = tcp_daemon(ServeConfig::default());
+    let trace = hostile_extent_trace();
+    // Each used to fail the session as `sim_failed` ("attribution
+    // panicked"); the refused extents now degrade to diagnostics.
+    for spec in ["sampling:50", "search"] {
+        let cfg = SessionConfig {
+            technique_spec: spec.to_string(),
+            interval: 20_000,
+            ..session_config()
+        };
+        let report = expect_report(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+        assert_eq!(report, batch_report(&trace, &cfg), "{spec}");
+        assert!(
+            report.contains("\"check.diagnostics\":4"),
+            "{spec}: {report}"
+        );
+    }
+    let summary = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!((summary.served, summary.rejected), (2, 0));
+}
+
+#[test]
+fn illegal_technique_periods_are_refused_at_the_handshake() {
+    let (daemon, addr) = tcp_daemon(ServeConfig::default());
+    let trace = bin_trace(12);
+    // Each used to kill the connection thread (adaptive) or fail the
+    // simulation (a zero period) instead of refusing the Hello.
+    for spec in ["adaptive:0", "adaptive:NaN", "sampling:0", "jittered:0:0"] {
+        let cfg = SessionConfig {
+            technique_spec: spec.to_string(),
+            ..session_config()
+        };
+        let r = expect_reject(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+        assert_eq!(r.code, "bad_config", "{spec}");
+        assert!(!r.retryable);
+        assert!(r.message.contains(spec), "{spec}: {}", r.message);
+    }
+    let status = query_status(&addr).unwrap();
+    assert_eq!(status.get("rejected").and_then(|j| j.as_u64()), Some(4));
+    // The daemon keeps serving.
+    let cfg = session_config();
+    let report = expect_report(submit_bytes(&addr, &trace, &cfg, 0).unwrap());
+    assert_eq!(report, batch_report(&trace, &cfg));
+    let summary = daemon.shutdown(Duration::from_secs(5));
+    assert_eq!(summary.served, 1);
+    assert_eq!(summary.rejected, 4);
+}
+
 #[test]
 fn draining_daemon_refuses_new_sessions_then_stops_clean() {
     let (daemon, addr) = tcp_daemon(ServeConfig::default());

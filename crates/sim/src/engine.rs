@@ -14,8 +14,9 @@ use cachescope_obs::{Obs, ObsEvent};
 
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
+use crate::epoch::ExtentError;
 use crate::memref::MemRef;
-use crate::program::{Event, ObjectDecl, ObjectKind, Program};
+use crate::program::{Event, ObjectKind, Program};
 use crate::stats::{Counts, ObjectStats, RunStats, Timeline};
 use crate::{Addr, Cycle};
 
@@ -59,20 +60,22 @@ struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Register an object and its live extent. On overlap nothing is
-    /// registered and the colliding extents come back as a typed error —
-    /// the caller decides whether that is fatal (it is not for the
-    /// engine: a hostile trace must degrade, not abort).
+    /// Register an object and its live extent. When the extent rule
+    /// refuses it (empty, wrapping, or overlapping a live extent) nothing
+    /// is registered and the refusal comes back as a typed error — the
+    /// caller decides whether that is fatal (it is not for the engine: a
+    /// hostile trace must degrade, not abort).
     fn insert(
         &mut self,
         name: String,
         base: Addr,
         size: u64,
         kind: ObjectKind,
-    ) -> Result<u32, crate::epoch::ExtentOverlap> {
+    ) -> Result<u32, ExtentError> {
         // check:allow(object ids are u32 by construction; a run registers far fewer than 2^32 objects)
         let id = self.objects.len() as u32;
-        self.index.insert(base, base + size, id)?;
+        let (base, end) = crate::epoch::extent_of(base, size);
+        self.index.insert(base, end, id)?;
         self.objects.push(ObjectStats {
             name,
             base,
@@ -320,32 +323,41 @@ impl Engine {
             limit: format!("{limit:?}"),
         });
         for decl in program.static_objects() {
-            if let Err(overlap) = self
+            if let Err(err) = self
                 .truth
                 .insert(decl.name, decl.base, decl.size, decl.kind)
             {
-                // Overlapping static declarations are a workload bug, but
-                // the engine must degrade rather than abort: the first
-                // declaration wins, the loser is reported and skipped.
-                self.reject_overlap("CS-W005", overlap);
+                // Overlapping, empty or wrapping static declarations are a
+                // workload bug, but the engine must degrade rather than
+                // abort: the first declaration wins, the loser is reported
+                // and skipped.
+                self.reject_extent("CS-W005", decl.size, err);
             }
         }
         handler.init(&mut EngineCtx { e: self });
     }
 
-    /// Surface a rejected extent as a CS-W-style diagnostic: the object
-    /// is not registered, handlers never hear about it, and misses in
-    /// the contested range attribute to the previously live extent. The
-    /// daemon and the fuzzer feed hostile inputs straight into the
-    /// engine, so this path must never panic.
-    fn reject_overlap(&mut self, code: &str, overlap: crate::epoch::ExtentOverlap) {
-        self.obs.metrics.add("engine.overlap_rejects", 1);
+    /// Surface a refused extent as the diagnostic `check` gives the same
+    /// record: `overlap_code` for an overlap, CS-W006 for a zero size,
+    /// CS-P001 for a wrap. The object is not registered, handlers never
+    /// hear about it, and misses in a contested range attribute to the
+    /// previously live extent. The daemon and the fuzzer feed hostile
+    /// inputs straight into the engine, so this path must never panic.
+    fn reject_extent(&mut self, overlap_code: &str, size: u64, err: ExtentError) {
+        let code = match err {
+            ExtentError::Overlap { .. } => {
+                self.obs.metrics.add("engine.overlap_rejects", 1);
+                overlap_code
+            }
+            ExtentError::Empty { .. } if size == 0 => "CS-W006",
+            ExtentError::Empty { .. } => "CS-P001",
+        };
         self.obs.emit(ObsEvent::CheckDiagnostic {
             code: code.to_string(),
             severity: "warning",
             file: self.app_name.clone(),
             line: 0,
-            message: overlap.to_string(),
+            message: err.to_string(),
         });
     }
 
@@ -511,11 +523,12 @@ impl Engine {
                         });
                         handler.on_alloc(base, size, name.as_deref(), &mut EngineCtx { e: self });
                     }
-                    // Alloc over a live block (hostile or corrupt trace):
-                    // reject, report, and keep running. Handlers are not
-                    // notified, so instrumentation maps stay consistent
-                    // with ground truth.
-                    Err(overlap) => self.reject_overlap("CS-W001", overlap),
+                    // Alloc over a live block, or an empty or wrapping one
+                    // (hostile or corrupt trace): reject, report, and keep
+                    // running. Handlers are not notified, so
+                    // instrumentation maps stay consistent with ground
+                    // truth.
+                    Err(err) => self.reject_extent("CS-W001", size, err),
                 }
             }
             Event::Free { base } => {
@@ -865,17 +878,11 @@ impl EngineCtx<'_> {
     }
 }
 
-/// Convenience: build static object declarations into a program-independent
-/// extent list (used by tests and by technique constructors).
-pub fn decl_extents(decls: &[ObjectDecl]) -> Vec<(Addr, Addr)> {
-    decls.iter().map(|d| (d.base, d.end())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::program::TraceProgram;
+    use crate::program::{ObjectDecl, TraceProgram};
     use cachescope_hwpm::{CostModel, PmuConfig};
 
     fn cfg() -> SimConfig {
@@ -1184,6 +1191,51 @@ mod tests {
         assert_eq!(e.obs().metrics.counter("engine.overlap_rejects"), 1);
     }
 
+    /// Empty and wrapping extents go through the same rule as overlaps:
+    /// refused with the code `check` gives the record, the first extent
+    /// wins, and ground truth never changes without a diagnostic.
+    #[test]
+    fn empty_and_wrapping_extents_degrade_with_typed_codes() {
+        let decls = vec![
+            ObjectDecl::global("a", 0x4000, 4096),
+            ObjectDecl::global("z", 0x9000, 0),
+            ObjectDecl::global("w", u64::MAX - 0xff, 0x200),
+        ];
+        let mut events = vec![
+            // A zero-size block at a live static's base used to replace
+            // the static's extent and strand its misses as unmapped.
+            Event::Alloc {
+                base: 0x4000,
+                size: 0,
+                name: None,
+            },
+            Event::Alloc {
+                base: 0xffff_ffff_ffff_f000,
+                size: 8192,
+                name: Some("wrap".into()),
+            },
+        ];
+        events.extend(line_reads(0x4000, 32));
+        let mut p = TraceProgram::new("t", decls, events);
+        let mut e = Engine::new(cfg());
+        let stats = e.run(&mut p, &mut NullHandler, RunLimit::Exhausted);
+        assert_eq!(stats.objects.len(), 1);
+        assert_eq!(stats.objects[0].name, "a");
+        assert_eq!(stats.objects[0].misses, 32);
+        assert_eq!(stats.unmapped_misses, 0);
+        let codes: Vec<String> = e
+            .obs()
+            .events()
+            .iter()
+            .filter_map(|ev| match ev {
+                cachescope_obs::ObsEvent::CheckDiagnostic { code, .. } => Some(code.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(codes, ["CS-W006", "CS-P001", "CS-W006", "CS-P001"]);
+        assert_eq!(e.obs().metrics.counter("engine.overlap_rejects"), 0);
+    }
+
     /// Satellite regression: a hostile trace that allocates over a live
     /// block must degrade (CS-W001 diagnostic, alloc dropped) — never
     /// abort the process, because the serve daemon and the fuzzer feed
@@ -1270,7 +1322,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::program::TraceProgram;
+    use crate::program::{ObjectDecl, TraceProgram};
     use crate::rng::SmallRng;
     use cachescope_hwpm::{CostModel, PmuConfig};
 
@@ -1375,7 +1427,7 @@ mod writeback_engine_tests {
 mod hierarchy_tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::program::TraceProgram;
+    use crate::program::{ObjectDecl, TraceProgram};
     use cachescope_hwpm::{CostModel, PmuConfig};
 
     fn two_level_cfg() -> SimConfig {
@@ -1486,7 +1538,7 @@ mod hierarchy_tests {
 mod chunked_equivalence_tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::program::TraceProgram;
+    use crate::program::{ObjectDecl, TraceProgram};
     use crate::rng::SmallRng;
     use cachescope_hwpm::{CostModel, FaultConfig, PmuConfig};
 
@@ -2007,8 +2059,11 @@ mod ground_truth_stress_tests {
         let err = truth
             .insert("bad".into(), bad_base, 256, ObjectKind::Heap)
             .unwrap_err();
-        assert_eq!(err.base, bad_base);
-        assert_eq!(err.other_base, 0x1000_0000 + 5_000 * 256);
+        assert!(matches!(
+            err,
+            ExtentError::Overlap { base, other_base, .. }
+                if base == bad_base && other_base == 0x1000_0000 + 5_000 * 256
+        ));
         assert_eq!(truth.objects.len(), 10_000, "loser is not registered");
         assert_eq!(truth.index.len(), 10_000);
         // The contested address still resolves to the original block.

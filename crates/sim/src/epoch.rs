@@ -1,13 +1,21 @@
-//! Epoch-versioned extent index: the shared resolve structure behind
-//! ground truth, the symbol table, and the heap map.
+//! Epoch-versioned extent index: the one extent rule, and the shared
+//! resolve structure behind ground truth, the symbol table, the heap map
+//! and the static analyzer.
 //!
-//! The engine resolves an object for *every* application cache miss, so
-//! attribution throughput is bounded by how fast "which live extent
-//! contains this address?" can be answered. Alloc churn and resolve
-//! traffic have very different shapes — churn is bursty (an alloc/free
-//! event, then thousands of misses against a stable heap) while resolves
-//! are continuous — so the index keeps two representations and lets the
-//! workload pick:
+//! **The rule.** Only [`EpochIndex::check`] decides whether an extent
+//! may go live: it refuses an empty one (a zero size, or a wrap, which
+//! [`extent_of`] turns into an inverted extent, not an overflow) and one
+//! overlapping a live extent, with one [`ExtentError`].
+//! [`EpochIndex::insert`] is `check` plus the commit. Every consumer
+//! degrades a refusal alike: the first extent wins.
+//!
+//! **Resolve.** The engine resolves an object for *every* application
+//! cache miss, so attribution throughput is bounded by how fast "which
+//! live extent contains this address?" can be answered. Alloc churn and
+//! resolve traffic have very different shapes — churn is bursty (an
+//! alloc/free event, then thousands of misses against a stable heap)
+//! while resolves are continuous — so the index keeps two
+//! representations and lets the workload pick:
 //!
 //! * a `BTreeMap` of live extents, O(log n) insert/remove, used directly
 //!   for resolves during churn-heavy epochs;
@@ -16,42 +24,61 @@
 //!   straight containment scan for tiny registries).
 //!
 //! Every mutation bumps an **epoch** counter. Callers that memoise
-//! resolves (the engine's [`ExtentMemo`], the object map's replay memos)
-//! tag entries with the epoch at fill time; a tag mismatch is a miss, so
-//! one integer compare invalidates every stale memo at once — no
+//! resolves in an [`ExtentMemo`] (the engine's ids, the object map's walk
+//! traces) tag entries with the epoch at fill time; a tag mismatch is a
+//! miss, so one integer compare invalidates every stale memo at once — no
 //! clearing, no per-entry bookkeeping on the alloc path.
 
 use std::collections::BTreeMap;
 
 use crate::Addr;
 
-/// An insert was rejected because the extent overlaps a live one.
-///
-/// Carries both extents so callers can surface an exact diagnostic
-/// (base/end are exclusive-end byte ranges).
+/// Why an extent `[base, end)` (exclusive end) may not go live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtentOverlap {
-    /// Base of the rejected extent.
-    pub base: Addr,
-    /// End (exclusive) of the rejected extent.
-    pub end: Addr,
-    /// Base of the live extent it collides with.
-    pub other_base: Addr,
-    /// End (exclusive) of the live extent it collides with.
-    pub other_end: Addr,
+pub enum ExtentError {
+    /// It holds no byte: `end == base` is a zero size, `end < base` a
+    /// `base + size` that wrapped the address space.
+    Empty { base: Addr, end: Addr },
+    /// It overlaps `[other_base, other_end)`, the lowest live extent it
+    /// touches.
+    Overlap {
+        base: Addr,
+        end: Addr,
+        other_base: Addr,
+        other_end: Addr,
+    },
 }
 
-impl std::fmt::Display for ExtentOverlap {
+impl std::fmt::Display for ExtentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "extent {:#x}..{:#x} overlaps live extent {:#x}..{:#x}",
-            self.base, self.end, self.other_base, self.other_end
-        )
+        match *self {
+            ExtentError::Empty { base, end } if end < base => {
+                write!(f, "extent {base:#x}..{end:#x} wraps the address space")
+            }
+            ExtentError::Empty { base, .. } => write!(f, "extent at {base:#x} is empty"),
+            ExtentError::Overlap {
+                base,
+                end,
+                other_base,
+                other_end,
+            } => write!(
+                f,
+                "extent {base:#x}..{end:#x} overlaps live extent {other_base:#x}..{other_end:#x}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for ExtentOverlap {}
+impl std::error::Error for ExtentError {}
+
+/// The extent `[base, end)` of an object of `size` bytes at `base`. A
+/// size that runs past the top of the address space wraps `end` below
+/// `base`: an inverted extent, which [`EpochIndex::check`] refuses as
+/// empty, instead of an arithmetic overflow.
+#[inline]
+pub fn extent_of(base: Addr, size: u64) -> (Addr, Addr) {
+    (base, base.wrapping_add(size))
+}
 
 /// Registries this small resolve faster with a straight containment scan
 /// than with binary search's data-dependent branches.
@@ -84,20 +111,19 @@ impl EpochIndex {
         Self::default()
     }
 
-    /// Build from a batch of `(base, end, id)` extents, rejecting the
-    /// first overlapping pair. The snapshot is materialized eagerly, so
+    /// Build from a batch of `(base, end, id)` extents, inserted in
+    /// order: an extent the rule refuses is skipped, so the first of two
+    /// overlapping extents wins. The snapshot is materialized eagerly, so
     /// an index that is never mutated afterwards (a symbol table) serves
     /// every resolve from the flat array.
-    pub fn from_extents(
-        extents: impl IntoIterator<Item = (Addr, Addr, u32)>,
-    ) -> Result<Self, ExtentOverlap> {
+    pub fn from_extents(extents: impl IntoIterator<Item = (Addr, Addr, u32)>) -> Self {
         let mut idx = Self::new();
         for (base, end, id) in extents {
-            idx.insert(base, end, id)?;
+            let _ = idx.insert(base, end, id);
         }
         idx.rebuild();
         idx.epoch = 0;
-        Ok(idx)
+        idx
     }
 
     /// Number of live extents.
@@ -117,31 +143,34 @@ impl EpochIndex {
         self.epoch
     }
 
-    /// Insert a live extent. Rejects (without mutating anything) if
-    /// `[base, end)` overlaps an extent already live. Zero-sized extents
-    /// are accepted and never resolve.
-    pub fn insert(&mut self, base: Addr, end: Addr, id: u32) -> Result<(), ExtentOverlap> {
-        debug_assert!(end >= base, "inverted extent {base:#x}..{end:#x}");
-        if let Some((&b, &(e, _))) = self.map.range(..base).next_back() {
-            if e > base {
-                return Err(ExtentOverlap {
-                    base,
-                    end,
-                    other_base: b,
-                    other_end: e,
-                });
-            }
+    /// The extent rule: may `[base, end)` go live now? Refuses an empty,
+    /// inverted or wrapped extent, and one that overlaps a live extent
+    /// (reporting the lowest such). Read-only, so a caller can vet an
+    /// extent before doing work of its own and commit with
+    /// [`EpochIndex::insert`] after.
+    pub fn check(&self, base: Addr, end: Addr) -> Result<(), ExtentError> {
+        if end <= base {
+            return Err(ExtentError::Empty { base, end });
         }
-        if let Some((&b, &(e, _))) = self.map.range(base..).next() {
-            if end > b {
-                return Err(ExtentOverlap {
-                    base,
-                    end,
-                    other_base: b,
-                    other_end: e,
-                });
-            }
+        let below = self.map.range(..base).next_back();
+        let clash = below
+            .filter(|&(_, &(e, _))| e > base)
+            .or_else(|| self.map.range(base..end).next());
+        match clash {
+            Some((&other_base, &(other_end, _))) => Err(ExtentError::Overlap {
+                base,
+                end,
+                other_base,
+                other_end,
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// Insert a live extent: [`EpochIndex::check`] plus the commit. A
+    /// refused extent mutates nothing.
+    pub fn insert(&mut self, base: Addr, end: Addr, id: u32) -> Result<(), ExtentError> {
+        self.check(base, end)?;
         self.map.insert(base, (end, id));
         self.churn();
         Ok(())
@@ -234,70 +263,102 @@ impl EpochIndex {
     }
 }
 
-/// Slots in the engine-side resolve memo. 32 entries at 4 KiB granularity
-/// give a 128 KiB aliasing period — enough that an ABAB interleave of two
-/// hot objects keeps both cached instead of thrashing a single entry.
+/// Slots in a resolve memo. 32 entries at 4 KiB granularity give a
+/// 128 KiB aliasing period — enough that an ABAB interleave of two hot
+/// objects keeps both cached instead of thrashing a single entry.
 const MEMO_SLOTS: usize = 32;
+
+/// One memo slot: a live-extent resolve and its payload, tagged with the
+/// index epoch at fill time.
+#[derive(Debug, Clone, Default)]
+struct MemoEntry<T> {
+    base: Addr,
+    end: Addr,
+    epoch: u64,
+    value: T,
+}
 
 /// Direct-mapped memo of recent resolves, tagged with the index epoch.
 ///
-/// Two-level: a most-recent entry catches streaming misses through one
-/// object; a direct-mapped array (slotted by 4 KiB address region)
-/// catches interleaved hot objects. Entries carry the epoch at fill
-/// time, so any alloc/free invalidates the whole memo with zero work —
-/// the tag compare fails.
+/// Two-level: the most recently hit or filled slot catches streaming
+/// misses through one object; a direct-mapped array (slotted by 4 KiB
+/// address region) catches interleaved hot objects. Entries carry the
+/// epoch at fill time, so any alloc/free invalidates the whole memo with
+/// zero work — the tag compare fails.
+///
+/// The payload is what a hit saves recomputing: the engine memoises the
+/// object id (`ExtentMemo<u32>`, through [`ExtentMemo::lookup`] and
+/// [`ExtentMemo::fill`]); the object map memoises a whole lookup walk,
+/// whose buffers [`ExtentMemo::fill_with`] hands back for reuse.
 #[derive(Debug, Clone)]
-pub struct ExtentMemo {
-    slots: [(Addr, Addr, u32, u64); MEMO_SLOTS],
-    recent: (Addr, Addr, u32, u64),
+pub struct ExtentMemo<T = u32> {
+    slots: [MemoEntry<T>; MEMO_SLOTS],
+    recent: usize,
 }
 
-impl Default for ExtentMemo {
+impl<T: Default> Default for ExtentMemo<T> {
     fn default() -> Self {
         // Zeroed entries are inert at any epoch: no address lies in
         // the empty range [0, 0).
         ExtentMemo {
-            slots: [(0, 0, 0, 0); MEMO_SLOTS],
-            recent: (0, 0, 0, 0),
+            slots: std::array::from_fn(|_| MemoEntry::default()),
+            recent: 0,
         }
     }
 }
 
-impl ExtentMemo {
-    /// A cold memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl<T> ExtentMemo<T> {
     #[inline]
     fn slot(addr: Addr) -> usize {
         (((addr >> 12) ^ (addr >> 17)) as usize) & (MEMO_SLOTS - 1)
     }
 
+    /// The payload of a live-epoch entry covering `addr`, if any.
+    #[inline]
+    pub fn get(&mut self, addr: Addr, epoch: u64) -> Option<&T> {
+        let covers = |m: &MemoEntry<T>| m.epoch == epoch && addr >= m.base && addr < m.end;
+        if !covers(&self.slots[self.recent]) {
+            let s = Self::slot(addr);
+            if !covers(&self.slots[s]) {
+                return None;
+            }
+            self.recent = s;
+        }
+        Some(&self.slots[self.recent].value)
+    }
+
+    /// Record a resolve of `addr` to extent `[base, end)` at `epoch`,
+    /// returning the slot's payload for the caller to overwrite in place.
+    /// The slot is keyed by the *resolved address* (not the extent base),
+    /// so a large object occupies one slot per 4 KiB region it is
+    /// actually missed in.
+    #[inline]
+    pub fn fill_with(&mut self, addr: Addr, base: Addr, end: Addr, epoch: u64) -> &mut T {
+        let s = Self::slot(addr);
+        self.recent = s;
+        let m = &mut self.slots[s];
+        (m.base, m.end, m.epoch) = (base, end, epoch);
+        &mut m.value
+    }
+}
+
+impl ExtentMemo {
+    /// A cold memo of object ids.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Resolve `addr` from the memo if a live-epoch entry covers it.
     #[inline]
     pub fn lookup(&mut self, addr: Addr, epoch: u64) -> Option<u32> {
-        let (b, e, id, tag) = self.recent;
-        if tag == epoch && addr >= b && addr < e {
-            return Some(id);
-        }
-        let (b, e, id, tag) = self.slots[Self::slot(addr)];
-        if tag == epoch && addr >= b && addr < e {
-            self.recent = (b, e, id, tag);
-            return Some(id);
-        }
-        None
+        self.get(addr, epoch).copied()
     }
 
     /// Record a resolve of `addr` to extent `[base, end)` = `id` at
-    /// `epoch`. The slot is keyed by the *resolved address* (not the
-    /// extent base), so a large object occupies one slot per 4 KiB
-    /// region it is actually missed in.
+    /// `epoch` (see [`ExtentMemo::fill_with`]).
     #[inline]
     pub fn fill(&mut self, addr: Addr, base: Addr, end: Addr, id: u32, epoch: u64) {
-        let entry = (base, end, id, epoch);
-        self.slots[Self::slot(addr)] = entry;
-        self.recent = entry;
+        *self.fill_with(addr, base, end, epoch) = id;
     }
 }
 
@@ -348,12 +409,20 @@ mod tests {
     fn overlap_rejection_reports_both_extents() {
         let mut idx = EpochIndex::new();
         idx.insert(0x1000, 0x1100, 0).unwrap();
+        let other = |e: ExtentError| match e {
+            ExtentError::Overlap {
+                other_base,
+                other_end,
+                ..
+            } => Some((other_base, other_end)),
+            ExtentError::Empty { .. } => None,
+        };
         // Overlap from below.
         let e = idx.insert(0x0f80, 0x1080, 1).unwrap_err();
-        assert_eq!((e.other_base, e.other_end), (0x1000, 0x1100));
+        assert_eq!(other(e), Some((0x1000, 0x1100)));
         // Overlap from above (prev extent spills into the new base).
         let e = idx.insert(0x10c0, 0x1200, 1).unwrap_err();
-        assert_eq!((e.other_base, e.other_end), (0x1000, 0x1100));
+        assert_eq!(other(e), Some((0x1000, 0x1100)));
         // Exact duplicate base.
         assert!(idx.insert(0x1000, 0x1040, 1).is_err());
         // Adjacent extents (end == next base) are fine.
@@ -365,13 +434,39 @@ mod tests {
     }
 
     #[test]
+    fn refuses_empty_inverted_and_wrapping_extents() {
+        let mut idx = EpochIndex::new();
+        idx.insert(0x4000, 0x5000, 0).unwrap();
+        // A zero size at a live base would otherwise replace that extent.
+        let (b, e) = extent_of(0x4000, 0);
+        assert_eq!(
+            idx.insert(b, e, 1),
+            Err(ExtentError::Empty {
+                base: 0x4000,
+                end: 0x4000
+            })
+        );
+        assert_eq!(idx.resolve(0x4000), Some((0x4000, 0x5000, 0)));
+        // A wrap is an inverted extent, not an overflow.
+        let (b, e) = extent_of(0xffff_ffff_ffff_f000, 8192);
+        assert_eq!((b, e), (0xffff_ffff_ffff_f000, 0x1000));
+        let err = idx.insert(b, e, 2).unwrap_err();
+        assert_eq!(err, ExtentError::Empty { base: b, end: e });
+        assert!(err.to_string().contains("wraps the address space"), "{err}");
+        assert!(idx.check(0x6000, 0x5000).is_err(), "inverted");
+        // Refusals mutate nothing; `check` alone never mutates.
+        assert_eq!((idx.len(), idx.epoch()), (1, 1));
+        assert_eq!(idx.check(0x5000, 0x6000), Ok(()));
+        assert_eq!((idx.len(), idx.epoch()), (1, 1));
+    }
+
+    #[test]
     fn from_extents_builds_a_clean_snapshot() {
         let idx = EpochIndex::from_extents([
             (0x3000, 0x3100, 2),
             (0x1000, 0x1100, 0),
             (0x2000, 0x2100, 1),
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
             idx.frozen_sorted(),
             &[
@@ -381,7 +476,14 @@ mod tests {
             ]
         );
         assert_eq!(idx.epoch(), 0);
-        assert!(EpochIndex::from_extents([(0x1000, 0x1100, 0), (0x10f0, 0x1200, 1)]).is_err());
+        // The first of two overlapping extents wins; the second, and an
+        // empty one, are skipped.
+        let idx = EpochIndex::from_extents([
+            (0x1000, 0x1100, 0),
+            (0x10f0, 0x1200, 1),
+            (0x2000, 0x2000, 2),
+        ]);
+        assert_eq!(idx.frozen_sorted(), &[(0x1000, 0x1100, 0)]);
     }
 
     #[test]
@@ -457,6 +559,23 @@ mod tests {
             assert_eq!(memo.lookup(a.0 + 8, 5), Some(1));
             assert_eq!(memo.lookup(b.0 + 8, 5), Some(2));
         }
+    }
+
+    #[test]
+    fn memo_payloads_reuse_their_slot_buffers() {
+        let mut memo: ExtentMemo<Vec<u64>> = ExtentMemo::default();
+        let walk = memo.fill_with(0x1_0000, 0x1_0000, 0x1_8000, 1);
+        walk.extend([1, 2, 3]);
+        assert_eq!(memo.get(0x1_0010, 1), Some(&vec![1, 2, 3]));
+        assert_eq!(memo.get(0x1_0010, 2), None, "stale epoch");
+        // Refilling the same slot hands back the old buffer to overwrite.
+        let walk = memo.fill_with(0x1_0020, 0x1_0000, 0x1_8000, 2);
+        let cap = walk.capacity();
+        walk.clear();
+        walk.push(4);
+        assert!(cap >= 3);
+        assert_eq!(memo.get(0x1_0010, 2).map(Vec::capacity), Some(cap));
+        assert_eq!(memo.get(0x1_0010, 2), Some(&vec![4]));
     }
 
     /// The satellite property test: randomized alloc/free/lookup

@@ -70,7 +70,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("CS-S008", "campaign matrix contains duplicate cells"),
     ("CS-L001", "unwrap() in library code"),
     ("CS-L002", "expect() in library code"),
-    ("CS-L003", "panic! in library code"),
+    ("CS-L003", "panic! or assert! in library code"),
     ("CS-L004", "wall-clock time in a deterministic crate"),
     ("CS-L005", "OS randomness in a deterministic crate"),
     ("CS-L006", "println! in library code"),

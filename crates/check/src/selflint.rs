@@ -9,7 +9,8 @@
 //! preceding comment-only line.
 //!
 //! Codes: `CS-L001` `.unwrap()` in library code, `CS-L002` `.expect("…")`
-//! in library code, `CS-L003` `panic!` in library code, `CS-L004`
+//! in library code, `CS-L003` `panic!`, `assert!`, `assert_eq!` or
+//! `assert_ne!` in library code (`debug_assert*` is allowed), `CS-L004`
 //! wall-clock time in a deterministic crate, `CS-L005` OS randomness in a
 //! deterministic crate, `CS-L006` `println!`/`eprintln!` in library code
 //! (warning), `CS-L007` narrowing `as` cast in a hot-path crate (a
@@ -218,6 +219,30 @@ const RULES: &[Rule] = &[
         what: "panic! in library code",
     },
     Rule {
+        needle: "assert!",
+        code: "CS-L003",
+        warning: false,
+        deterministic_only: false,
+        hot_path_only: false,
+        what: "assert! in library code",
+    },
+    Rule {
+        needle: "assert_eq!",
+        code: "CS-L003",
+        warning: false,
+        deterministic_only: false,
+        hot_path_only: false,
+        what: "assert_eq! in library code",
+    },
+    Rule {
+        needle: "assert_ne!",
+        code: "CS-L003",
+        warning: false,
+        deterministic_only: false,
+        hot_path_only: false,
+        what: "assert_ne! in library code",
+    },
+    Rule {
         needle: "SystemTime",
         code: "CS-L004",
         warning: false,
@@ -319,7 +344,10 @@ fn rule_hint(code: &str) -> &'static str {
     match code {
         "CS-L001" => "handle the error, or annotate // check:allow(reason) if provably infallible",
         "CS-L002" => "return the error instead, or annotate // check:allow(reason)",
-        "CS-L003" => "return a Result, or annotate // check:allow(reason) for test fixtures",
+        "CS-L003" => {
+            "return a Result, or annotate // check:allow(reason) for a proven invariant or a \
+             test fixture"
+        }
         "CS-L004" => "thread a virtual clock through instead; results must replay from the seed",
         "CS-L005" => "use the seeded SplitMix/Xoshiro helpers; OS entropy breaks reproducibility",
         "CS-L007" => {
@@ -328,6 +356,14 @@ fn rule_hint(code: &str) -> &'static str {
         }
         _ => "route output through the obs event stream or a returned value",
     }
+}
+
+/// Does `needle` occur in `code` other than as the tail of a `debug_`
+/// macro? `debug_assert!` and its kin compile out of release builds, so
+/// they cannot abort a release run.
+fn fires(code: &str, needle: &str) -> bool {
+    code.match_indices(needle)
+        .any(|(at, _)| !code[..at].ends_with("debug_"))
 }
 
 /// Lint one source file. `crate_name` selects the determinism rules.
@@ -380,7 +416,7 @@ pub fn lint_source(src: &str, crate_name: &str, source: &str) -> Vec<Diagnostic>
             if rule.hot_path_only && !hot_path {
                 continue;
             }
-            if code_text.contains(rule.needle) {
+            if fires(code_text, rule.needle) {
                 let d = if rule.warning {
                     Diagnostic::warning(rule.code, source, rule.what.to_string())
                 } else {
@@ -477,6 +513,16 @@ mod tests {
         assert_eq!(
             codes(&diags),
             [("CS-L001", 2), ("CS-L003", 5), ("CS-L002", 8)]
+        );
+    }
+
+    #[test]
+    fn assert_is_flagged_but_debug_assert_is_not() {
+        let src = "fn f(x: u8) {\n    assert!(x > 0);\n    debug_assert!(x > 1);\n    assert_eq!(x, 2);\n    debug_assert_eq!(x, 2);\n    assert_ne!(x, 3);\n    debug_assert_ne!(x, 3);\n    assert!(x < 9); // check:allow(callers pass digits)\n}\n";
+        let diags = lint_source(src, "sim", "t.rs");
+        assert_eq!(
+            codes(&diags),
+            [("CS-L003", 2), ("CS-L003", 4), ("CS-L003", 6)]
         );
     }
 

@@ -323,6 +323,12 @@ mod tests {
         // unprofiled metric snapshots stay byte-identical.
         assert!(profiled.metrics.histogram("engine.chunk_ns").is_some());
         assert!(plain.metrics.histogram("engine.chunk_ns").is_none());
+        // So does the stepped-access count. Sampling steps about one
+        // access per interrupt and runs the rest in bulk.
+        let stepped = profiled.metrics.counter("engine.stepped_accesses");
+        assert!(stepped > 0 && stepped * 100 < profiled.stats.app.accesses);
+        let plain_json = plain.metrics.to_json().render();
+        assert!(!plain_json.contains("engine.stepped_accesses"));
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub struct Region {
 impl Region {
     /// A fresh, unmeasured region.
     pub fn new(lo: Addr, hi: Addr) -> Self {
+        // check:allow(every caller splits strictly inside its parent or skips empty seeds)
         assert!(lo < hi, "empty region [{lo:#x}, {hi:#x})");
         Region {
             lo,

@@ -197,6 +197,7 @@ impl Pmu {
     ///
     /// `period` must be nonzero.
     pub fn arm_miss_overflow(&mut self, period: u64) {
+        // check:allow(SamplingPeriod::check refuses 0; adaptive/jittered periods are floored)
         assert!(period > 0, "overflow period must be nonzero");
         self.activity.overflow_arms += 1;
         self.overflow_remaining = Some(period);
@@ -322,23 +323,22 @@ impl Pmu {
         self.pending.is_some()
     }
 
-    /// Could this PMU latch (or already hold) an interrupt?
+    /// How many further misses [`Pmu::record_miss`] can take without
+    /// latching an interrupt, so an engine may feed them with no poll.
     ///
-    /// `false` means the PMU is completely idle for interrupt purposes:
-    /// nothing is pending, no overflow countdown or timer is armed, and
-    /// no fault model exists that could inject a spurious latch. In that
-    /// state [`Pmu::record_miss`] and [`Pmu::check_timer`] provably
-    /// cannot change it — record_miss with no armed countdown never
-    /// latches, and there is no fault model to conjure one — so an
-    /// engine may batch per-access interrupt polls away. Any transition
-    /// back to `true` requires an explicit register write (arming), which
-    /// only handler code can perform.
+    /// 0 while an interrupt is pending or while the fault model can latch
+    /// a spurious one at any miss. `r − 1` for an overflow armed `r`
+    /// misses out: each access adds at most one miss, and a dropped
+    /// overflow only re-arms the countdown. Unbounded when no countdown
+    /// is armed. Only handler code can arm one, and the timer is the
+    /// engine's to bound (see [`Pmu::timer_deadline`]).
     #[inline]
-    pub fn can_latch(&self) -> bool {
-        self.pending.is_some()
-            || self.overflow_remaining.is_some()
-            || self.timer_deadline.is_some()
-            || self.faults.is_some()
+    pub fn quiet_misses(&self) -> u64 {
+        let spurious = |f: &FaultModel| f.config().spurious_rate > 0.0;
+        if self.pending.is_some() || self.faults.as_ref().is_some_and(spurious) {
+            return 0;
+        }
+        self.overflow_remaining.map_or(u64::MAX, |r| r - 1)
     }
 
     /// Extra virtual cycles the engine must charge before delivering the
@@ -554,31 +554,53 @@ mod tests {
     }
 
     #[test]
-    fn can_latch_tracks_armed_state() {
+    fn quiet_misses_tracks_armed_state() {
         let mut p = pmu(1);
-        assert!(!p.can_latch());
+        assert_eq!(p.quiet_misses(), u64::MAX);
         p.arm_miss_overflow(2);
-        assert!(p.can_latch());
+        assert_eq!(p.quiet_misses(), 1);
         p.record_miss(1);
+        assert_eq!(p.quiet_misses(), 0); // the next miss latches
         p.record_miss(2);
-        assert!(p.can_latch()); // pending slot occupied
+        assert_eq!(p.quiet_misses(), 0); // pending slot occupied
         p.take_pending();
-        assert!(!p.can_latch());
+        assert_eq!(p.quiet_misses(), u64::MAX);
+        // The timer bounds the clock, not the miss count: the engine
+        // reads its deadline.
         p.arm_timer(10);
-        assert!(p.can_latch());
+        assert_eq!(p.quiet_misses(), u64::MAX);
+        assert_eq!(p.timer_deadline(), Some(10));
         p.disarm_timer();
-        assert!(!p.can_latch());
-        // A fault model can inject spurious latches at any miss, so its
-        // mere presence keeps the PMU latch-capable.
-        let f = Pmu::with_faults(
-            &PmuConfig { region_counters: 1 },
-            &crate::FaultConfig {
-                spurious_rate: 0.1,
-                seed: 1,
-                ..Default::default()
-            },
-        );
-        assert!(f.can_latch());
+        assert_eq!(p.quiet_misses(), u64::MAX);
+        let faulty = |cfg: crate::FaultConfig| {
+            let mut f = Pmu::with_faults(&PmuConfig { region_counters: 1 }, &cfg);
+            f.arm_miss_overflow(5);
+            f.quiet_misses()
+        };
+        // Skid and drops draw only at a miss or at the threshold, so the
+        // countdown budget stands.
+        let skid = crate::FaultConfig {
+            skid_depth: 4,
+            skid_rate: 1.0,
+            seed: 1,
+            ..Default::default()
+        };
+        assert_eq!(faulty(skid), 4);
+        let drop = crate::FaultConfig {
+            drop_rate: 1.0,
+            seed: 1,
+            ..Default::default()
+        };
+        assert_eq!(faulty(drop), 4);
+        // A spurious latch can come at any miss.
+        let spurious = crate::FaultConfig {
+            spurious_rate: 0.1,
+            seed: 1,
+            ..Default::default()
+        };
+        assert_eq!(faulty(spurious.clone()), 0);
+        let idle = Pmu::with_faults(&PmuConfig { region_counters: 1 }, &spurious);
+        assert_eq!(idle.quiet_misses(), 0);
     }
 
     #[test]
@@ -628,6 +650,8 @@ mod tests {
             assert!(!p.has_pending());
         }
         assert_eq!(p.fault_tally().unwrap().dropped_overflows, 10);
+        // The last drop re-armed a full period.
+        assert_eq!(p.quiet_misses(), 2);
     }
 
     #[test]

@@ -249,6 +249,7 @@ impl RbTree {
         id: ObjectId,
         trace: &mut AccessTrace,
     ) -> Result<(), ArenaFull> {
+        // check:allow(ObjectMap vets every block through the extent rule first)
         assert!(base < end, "empty block [{base:#x}, {end:#x})");
         if self.free.is_empty() && self.nodes.len() >= (self.max_segments as usize) << SEG_SHIFT {
             return Err(ArenaFull {
@@ -262,6 +263,7 @@ impl RbTree {
             trace.read(self.sim_addr(cur));
             parent = cur;
             let k = self.n(cur).key;
+            // check:allow(ObjectMap vets every block through the extent rule first)
             assert!(k != base, "duplicate block base {base:#x}");
             cur = if base < k {
                 self.n(cur).left
@@ -575,13 +577,17 @@ impl RbTree {
     /// Check every red-black invariant; panics with a description on
     /// violation. Intended for tests.
     pub fn validate(&self) {
+        // check:allow(test-only invariant walk)
         assert!(!self.n(NIL).red, "sentinel must be black");
         if self.root != NIL {
+            // check:allow(test-only invariant walk)
             assert!(!self.n(self.root).red, "root must be black");
+            // check:allow(test-only invariant walk)
             assert_eq!(self.n(self.root).parent, NIL, "root parent must be NIL");
         }
         let mut count = 0;
         self.validate_node(self.root, None, None, &mut count);
+        // check:allow(test-only invariant walk)
         assert_eq!(count, self.len, "len does not match node count");
     }
 
@@ -599,12 +605,15 @@ impl RbTree {
         *count += 1;
         let n = self.n(node);
         if let Some(m) = min {
+            // check:allow(test-only invariant walk)
             assert!(n.key > m, "BST order violated at {:#x}", n.key);
         }
         if let Some(m) = max {
+            // check:allow(test-only invariant walk)
             assert!(n.key < m, "BST order violated at {:#x}", n.key);
         }
         if n.red {
+            // check:allow(test-only invariant walk)
             assert!(
                 !self.n(n.left).red && !self.n(n.right).red,
                 "red node {:#x} has a red child",
@@ -612,13 +621,16 @@ impl RbTree {
             );
         }
         if n.left != NIL {
+            // check:allow(test-only invariant walk)
             assert_eq!(self.n(n.left).parent, node, "broken parent link");
         }
         if n.right != NIL {
+            // check:allow(test-only invariant walk)
             assert_eq!(self.n(n.right).parent, node, "broken parent link");
         }
         let lh = self.validate_node(n.left, min, Some(n.key), count);
         let rh = self.validate_node(n.right, Some(n.key), max, count);
+        // check:allow(test-only invariant walk)
         assert_eq!(lh, rh, "black height mismatch at {:#x}", n.key);
         lh + usize::from(!n.red)
     }

@@ -30,7 +30,9 @@ pub struct Histogram {
 
 impl Histogram {
     fn new(bounds: Vec<u64>) -> Self {
+        // check:allow(callers pass constant ascending bounds; with_bounds vets the rest)
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
+        // check:allow(callers pass constant ascending bounds; with_bounds vets the rest)
         assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         let counts = vec![0; bounds.len() + 1];
         Histogram {

@@ -80,6 +80,7 @@ impl AddressSpace {
     /// Create a layout allocator aligning every object to `align` bytes
     /// (normally the cache line size; must be a power of two).
     pub fn new(align: u64) -> Self {
+        // check:allow(every caller passes the constant cache-line size)
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         AddressSpace {
             static_next: STATIC_BASE,
@@ -95,6 +96,7 @@ impl AddressSpace {
             .checked_add(size.max(1))
             // check:allow(address-space exhaustion is a workload authoring bug)
             .unwrap_or_else(|| panic!("{what} allocation overflows address space"));
+        // check:allow(segment exhaustion is a workload authoring bug)
         assert!(
             end <= limit,
             "{what} segment exhausted ({size} bytes requested)"
@@ -129,6 +131,7 @@ impl AddressSpace {
     /// reproduce the paper's literal block addresses). Advances the heap
     /// cursor past the block if necessary.
     pub fn alloc_heap_at(&mut self, base: Addr, size: u64) -> Addr {
+        // check:allow(workload constants, or fuzz targets Scenario::validate kept in the heap)
         assert!(
             (HEAP_BASE..INSTR_BASE).contains(&base),
             "explicit heap address {base:#x} outside heap segment"

@@ -179,6 +179,8 @@ pub struct Engine {
     /// Workload name, recorded at run start; names the offending input
     /// in engine diagnostics.
     app_name: String,
+    /// Application accesses run one event at a time (bulk budget 0).
+    steps: u64,
     /// Tool-side observability sink: events and metrics recorded here
     /// never charge virtual cycles and never touch the simulated cache.
     obs: Obs,
@@ -208,6 +210,7 @@ impl Engine {
             fault_seen: 0,
             attribution: true,
             app_name: String::new(),
+            steps: 0,
             obs: Obs::new(),
             cfg,
         }
@@ -267,12 +270,14 @@ impl Engine {
     /// `Engine` per run when comparing configurations.
     ///
     /// Events are pulled in chunks ([`Program::next_chunk`]) and run by
-    /// one loop, which takes each access run in bulk while the PMU
-    /// provably cannot latch an interrupt and one event at a time
-    /// otherwise. Results are bit-identical to a one-event-at-a-time
-    /// reference loop: the chunked-equivalence tests in this module
+    /// one loop, which takes as many accesses in bulk as one budget
+    /// proves can neither latch an interrupt nor trip `limit`, and steps
+    /// one event at a time when that budget is 0. Results are
+    /// bit-identical to a one-event-at-a-time reference loop: the
+    /// chunked-equivalence tests in this module
     /// (`chunked_run_matches_scalar_run_bit_for_bit` and its churn,
-    /// bulk-path and armed-to-quiet siblings) hold `run` to it.
+    /// bulk-path, armed-to-quiet and armed-bulk siblings) hold `run` to
+    /// it.
     pub fn run<P: Program + ?Sized, H: Handler + ?Sized>(
         &mut self,
         program: &mut P,
@@ -363,21 +368,15 @@ impl Engine {
 
     /// The chunked main loop. Per chunk it alternates two walks: the
     /// marks at the current position, each a full event, then the access
-    /// run up to the next mark — in bulk, `min(unchecked_budget, run
-    /// length)` accesses at a time, while [`Pmu::can_latch`] is false, and
-    /// one event at a time otherwise.
+    /// run up to the next mark — [`Engine::bulk_budget`] accesses at a
+    /// time with no limit check and no interrupt poll, and one event at a
+    /// time when that budget is 0.
     ///
-    /// Equivalence to the scalar loop rests on two facts:
-    ///
-    /// 1. When [`Pmu::can_latch`] is false, the per-event
-    ///    `check_timer`/`take_pending` polls are no-ops and *stay* no-ops
-    ///    across any number of pure accesses (nothing armed, no fault
-    ///    model, and no handler runs that could arm something) — so the
-    ///    bulk step may skip them wholesale.
-    /// 2. [`Engine::unchecked_budget`] under-approximates how many
-    ///    accesses can run before the limit could trip, so hoisting the
-    ///    limit check out of the bulk step never overshoots the point
-    ///    where the scalar loop would have stopped.
+    /// Equivalence to the scalar loop rests on one fact: within the
+    /// budget no poll can latch and no limit can trip. Each per-event
+    /// `check_timer`/`take_pending` poll the bulk step skips would have
+    /// been a no-op, since no handler runs there to change what is armed,
+    /// and each skipped limit check would have passed.
     ///
     /// The only externally visible difference is that the program may be
     /// pulled up to one chunk past the stop point (the unprocessed tail
@@ -389,10 +388,6 @@ impl Engine {
         handler: &mut H,
         limit: RunLimit,
     ) {
-        let clock_free_limit = matches!(
-            limit,
-            RunLimit::AppMisses(_) | RunLimit::AppAccesses(_) | RunLimit::Exhausted
-        );
         let mut chunk = crate::program::EventChunk::standard();
         'outer: while !self.limit_reached(limit) {
             chunk.reset();
@@ -403,10 +398,6 @@ impl Engine {
             // enclosing `engine.run` exit closes the abandoned frame.
             let sp_chunk = self.obs.profiler.enter("engine.chunk");
             let refs_len = chunk.refs.len();
-            // Fused computes advance the clock between accesses, so under
-            // a cycle limit the access budget no longer bounds where the
-            // limit trips.
-            let bulk_ok = clock_free_limit || chunk.pre_cycles.is_empty();
             let mut i = 0; // next access to execute
             let mut mi = 0; // next control mark to execute
             loop {
@@ -426,22 +417,20 @@ impl Engine {
                     if self.limit_reached(limit) {
                         break 'outer;
                     }
-                    if bulk_ok && !self.pmu.can_latch() {
-                        let n = self.unchecked_budget(limit).min((run_end - i) as u64) as usize;
-                        if n > 0 {
-                            if chunk.pre_cycles.is_empty() {
-                                for r in &chunk.refs[i..i + n] {
-                                    self.app_access(*r);
-                                }
-                            } else {
-                                for k in i..i + n {
-                                    self.clock += chunk.pre_cycles[k];
-                                    self.app_access(chunk.refs[k]);
-                                }
+                    let n = self.bulk_budget(limit, &chunk.pre_cycles, i, run_end);
+                    if n > 0 {
+                        if chunk.pre_cycles.is_empty() {
+                            for r in &chunk.refs[i..i + n] {
+                                self.app_access(*r);
                             }
-                            i += n;
-                            continue;
+                        } else {
+                            for k in i..i + n {
+                                self.clock += chunk.pre_cycles[k];
+                                self.app_access(chunk.refs[k]);
+                            }
                         }
+                        i += n;
+                        continue;
                     }
                     // One event at a time, as the scalar loop runs it: the
                     // fused compute is its own event, then the access.
@@ -454,6 +443,7 @@ impl Engine {
                             }
                         }
                     }
+                    self.steps += 1;
                     self.app_access(chunk.refs[i]);
                     i += 1;
                     self.poll_interrupts(handler);
@@ -474,27 +464,45 @@ impl Engine {
         }
     }
 
-    /// How many consecutive application accesses can run before `limit`
-    /// could possibly be reached, conservatively under-approximated from
-    /// the current counters. Processing up to this many accesses without
-    /// re-checking the limit is indistinguishable from checking before
-    /// every access.
+    /// How many of the accesses `i..end` (whose fused computes are
+    /// `pre_cycles`, empty when none) can run with no limit check and no
+    /// interrupt poll: `min(run length, limit headroom, PMU quiet misses,
+    /// clock headroom)`. The clock side keeps the clock after the last of
+    /// them, at [`Engine::worst_cycles_per_access`] per access plus its
+    /// compute, below the earliest of the armed timer's deadline and a
+    /// cycle limit, so no skipped poll can latch the timer and no skipped
+    /// check can trip the limit.
     #[inline]
-    fn unchecked_budget(&self, limit: RunLimit) -> u64 {
+    fn bulk_budget(&self, limit: RunLimit, pre_cycles: &[Cycle], i: usize, end: usize) -> usize {
+        let mut n = self.pmu.quiet_misses().min((end - i) as u64);
+        let mut until = self.pmu.timer_deadline().unwrap_or(Cycle::MAX);
         match limit {
             // Each access adds at most one miss / exactly one access.
-            RunLimit::AppMisses(n) => n.saturating_sub(self.app.misses),
-            RunLimit::AppAccesses(n) => n.saturating_sub(self.app.accesses),
-            RunLimit::Cycles(n) => n
-                .saturating_sub(self.clock)
-                .checked_div(self.worst_cycles_per_access())
-                .unwrap_or(u64::MAX),
-            RunLimit::AppCycles(n) => n
-                .saturating_sub(self.clock - self.instr_cycles)
-                .checked_div(self.worst_cycles_per_access())
-                .unwrap_or(u64::MAX),
-            RunLimit::Exhausted => u64::MAX,
+            RunLimit::AppMisses(m) => n = n.min(m.saturating_sub(self.app.misses)),
+            RunLimit::AppAccesses(m) => n = n.min(m.saturating_sub(self.app.accesses)),
+            RunLimit::Cycles(c) => until = until.min(c),
+            RunLimit::AppCycles(c) => until = until.min(c.saturating_add(self.instr_cycles)),
+            RunLimit::Exhausted => {}
         }
+        if until == Cycle::MAX {
+            return n as usize; // nothing waits on the clock: skip the walk
+        }
+        let Some(mut room) = until.saturating_sub(self.clock).checked_sub(1) else {
+            return 0;
+        };
+        let w = self.worst_cycles_per_access();
+        if pre_cycles.is_empty() {
+            return n.min(room.checked_div(w).unwrap_or(u64::MAX)) as usize;
+        }
+        let mut k = 0;
+        for &c in pre_cycles.iter().skip(i).take(n as usize) {
+            match room.checked_sub(c.saturating_add(w)) {
+                Some(left) => room = left,
+                None => break,
+            }
+            k += 1;
+        }
+        k
     }
 
     /// Upper bound on the cycles one application access can charge.
@@ -578,6 +586,10 @@ impl Engine {
             .metrics
             .add("pmu.timers_latched", act.timers_latched);
         self.obs.metrics.add("pmu.frozen_misses", act.frozen_misses);
+        // Profiled runs only: unprofiled snapshots are diffed by goldens.
+        if self.obs.profiler.is_enabled() {
+            self.obs.metrics.add("engine.stepped_accesses", self.steps);
+        }
         // With a fault model active, summarize what it injected (the
         // emit also derives the hwpm.faults_injected metric). Absent a
         // model nothing is emitted, keeping fault-free runs byte-stable.
@@ -1668,8 +1680,8 @@ mod chunked_equivalence_tests {
     /// The batched loop must reproduce the scalar reference loop exactly —
     /// same stats, same interrupt count, same per-object attribution —
     /// across randomized programs, every run limit, an active handler,
-    /// and a fault model aggressive enough that the PMU is frequently in
-    /// (and out of) the can-latch state.
+    /// and an aggressive fault model whose spurious overflows can latch
+    /// at any miss, so every access must step.
     #[test]
     fn chunked_run_matches_scalar_run_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(0xC0_FFEE);
@@ -1737,15 +1749,18 @@ mod chunked_equivalence_tests {
                 } else {
                     e.run(&mut p, &mut h, limit)
                 };
-                (stats, h.interrupts)
+                (stats, h.interrupts, e.steps)
             };
-            let (chunked, chunked_intrs) = run(false);
-            let (scalar, scalar_intrs) = run(true);
+            let (chunked, chunked_intrs, stepped) = run(false);
+            let (scalar, scalar_intrs, _) = run(true);
             assert_stats_equal(&chunked, &scalar, case);
             assert_eq!(
                 chunked_intrs, scalar_intrs,
                 "case {case}: handler interrupts"
             );
+            // A spurious overflow can latch at any miss, so no access may
+            // go in bulk.
+            assert_eq!(stepped, chunked.app.accesses, "case {case}: bulk step");
         }
     }
 
@@ -1879,7 +1894,7 @@ mod chunked_equivalence_tests {
     /// The armed → quiet switch, under every run limit: interrupts arrive
     /// until the handler stops re-arming, and from then on the access runs
     /// go in bulk — where a search spends most of its references once it
-    /// ends. Fault-free, since a fault model keeps the PMU latch-capable.
+    /// ends. Fault-free; `armed_bulk_step_matches_scalar_run` adds faults.
     #[test]
     fn armed_to_quiet_switch_matches_scalar_run() {
         let mut rng = SmallRng::seed_from_u64(0x0A12_0E0D);
@@ -1946,6 +1961,135 @@ mod chunked_equivalence_tests {
             assert!(
                 chunked_intrs >= quit_after,
                 "case {case}: handler never quit"
+            );
+        }
+    }
+
+    /// [`BusyHandler`] plus a global-counter and last-miss read per
+    /// interrupt, folded into `seen`, so read jitter, wrap and skid show
+    /// in what the handler observes.
+    struct ReadingHandler {
+        busy: BusyHandler,
+        seen: u64,
+    }
+
+    impl Handler for ReadingHandler {
+        fn init(&mut self, ctx: &mut EngineCtx) {
+            self.busy.init(ctx);
+        }
+        fn on_interrupt(&mut self, intr: Interrupt, ctx: &mut EngineCtx) {
+            let global = ctx.read_and_clear_global();
+            let last = ctx.last_miss_addr().unwrap_or(0);
+            self.seen = self.seen.wrapping_mul(31).wrapping_add(global ^ last);
+            self.busy.on_interrupt(intr, ctx);
+        }
+    }
+
+    /// Bulk steps under an armed PMU: an overflow countdown and a timer
+    /// stay armed (or the handler quits), under every run limit, with and
+    /// without an L1, and under every fault class that draws only at a
+    /// miss, a threshold, a delivery or a read (spurious rate 0). The
+    /// fault draws, the handler's observations and every statistic must
+    /// match the scalar loop, and since every countdown starts above 1,
+    /// some accesses must have gone in bulk.
+    #[test]
+    fn armed_bulk_step_matches_scalar_run() {
+        let mut rng = SmallRng::seed_from_u64(0xB0_1C57);
+        for case in 0..40 {
+            let n = rng.random_range(2_000usize..8_000);
+            let events = if (case / 5) % 2 == 0 {
+                loop_events(&mut rng, n)
+            } else {
+                random_events(&mut rng, n)
+            };
+            let decls = vec![
+                ObjectDecl::global("A", 0x1000_0000, 64 * 128),
+                ObjectDecl::global("B", 0x1000_2000, 64 * 128),
+            ];
+            let cfg = SimConfig {
+                cache: CacheConfig {
+                    size_bytes: 4096,
+                    line_bytes: 64,
+                    assoc: 2,
+                    hit_cycles: 1,
+                    miss_penalty: 10,
+                    writeback_penalty: if case % 3 == 0 { 30 } else { 0 },
+                    policy: Default::default(),
+                },
+                l1: ((case / 10) % 2 == 1).then(|| CacheConfig {
+                    size_bytes: 256,
+                    line_bytes: 64,
+                    assoc: 2,
+                    hit_cycles: 1,
+                    miss_penalty: 0,
+                    writeback_penalty: 0,
+                    policy: Default::default(),
+                }),
+                pmu: PmuConfig { region_counters: 2 },
+                costs: CostModel {
+                    interrupt_delivery: 300,
+                    counter_read: 7,
+                    ..CostModel::free()
+                },
+                faults: FaultConfig {
+                    skid_depth: 4,
+                    skid_rate: 0.3,
+                    drop_rate: 0.2,
+                    spurious_rate: 0.0,
+                    wrap_bits: 3,
+                    delivery_delay_cycles: 41,
+                    read_jitter: 0.2,
+                    seed: case as u64 + 7,
+                },
+                timeline: None,
+            };
+            let limit = match case % 5 {
+                0 => RunLimit::Exhausted,
+                1 => RunLimit::AppMisses(rng.random_range(200u64..4_000)),
+                2 => RunLimit::AppAccesses(rng.random_range(500u64..6_000)),
+                3 => RunLimit::Cycles(rng.random_range(20_000u64..200_000)),
+                _ => RunLimit::AppCycles(rng.random_range(20_000u64..150_000)),
+            };
+            let overflow_period = rng.random_range(2u64..41);
+            let timer_interval = rng.random_range(500u64..3_000);
+            let quit_after = match rng.random_range(0u64..2) {
+                0 => u64::MAX,
+                _ => rng.random_range(1u64..30),
+            };
+            let run = |scalar: bool| {
+                let mut p = TraceProgram::new("armed", decls.clone(), events.clone());
+                let mut h = ReadingHandler {
+                    busy: BusyHandler {
+                        interrupts: 0,
+                        overflow_period,
+                        timer_interval,
+                        quit_after,
+                    },
+                    seen: 0,
+                };
+                let mut e = Engine::new(cfg.clone());
+                let stats = if scalar {
+                    e.run_scalar(&mut p, &mut h, limit)
+                } else {
+                    e.run(&mut p, &mut h, limit)
+                };
+                let tally = e.pmu.fault_tally();
+                (stats, h.busy.interrupts, h.seen, tally, e.steps)
+            };
+            let (chunked, intrs, seen, tally, stepped) = run(false);
+            let (scalar, scalar_intrs, scalar_seen, scalar_tally, _) = run(true);
+            assert_stats_equal(&chunked, &scalar, case);
+            assert_eq!(intrs, scalar_intrs, "case {case}: handler interrupts");
+            assert_eq!(seen, scalar_seen, "case {case}: handler observations");
+            assert_eq!(tally, scalar_tally, "case {case}: fault draws");
+            assert!(
+                tally.is_some_and(|t| t.skidded_samples > 0),
+                "case {case}: no fault drawn"
+            );
+            assert!(
+                stepped < chunked.app.accesses,
+                "case {case}: {stepped} of {} accesses stepped",
+                chunked.app.accesses
             );
         }
     }

@@ -121,6 +121,7 @@ pub struct EventChunk {
 impl EventChunk {
     /// An empty chunk that fills up to `capacity` total events.
     pub fn with_capacity(capacity: usize) -> Self {
+        // check:allow(every caller passes a constant nonzero capacity)
         assert!(capacity > 0, "chunk capacity must be nonzero");
         EventChunk {
             refs: Vec::with_capacity(capacity),

@@ -111,6 +111,7 @@ pub trait SampleRange<T> {
 impl SampleRange<u64> for Range<u64> {
     #[inline]
     fn sample(self, rng: &mut SmallRng) -> u64 {
+        // check:allow(an empty range is a caller bug; callers pass non-empty ranges)
         assert!(self.start < self.end, "empty range");
         self.start + rng.below(self.end - self.start)
     }
@@ -120,6 +121,7 @@ impl SampleRange<u64> for RangeInclusive<u64> {
     #[inline]
     fn sample(self, rng: &mut SmallRng) -> u64 {
         let (lo, hi) = (*self.start(), *self.end());
+        // check:allow(an empty range is a caller bug; callers pass non-empty ranges)
         assert!(lo <= hi, "empty range");
         if lo == 0 && hi == u64::MAX {
             return rng.next_u64();
@@ -131,6 +133,7 @@ impl SampleRange<u64> for RangeInclusive<u64> {
 impl SampleRange<usize> for Range<usize> {
     #[inline]
     fn sample(self, rng: &mut SmallRng) -> usize {
+        // check:allow(an empty range is a caller bug; callers pass non-empty ranges)
         assert!(self.start < self.end, "empty range");
         self.start + rng.below((self.end - self.start) as u64) as usize
     }
@@ -139,6 +142,7 @@ impl SampleRange<usize> for Range<usize> {
 impl SampleRange<f64> for Range<f64> {
     #[inline]
     fn sample(self, rng: &mut SmallRng) -> f64 {
+        // check:allow(an empty range is a caller bug; callers pass non-empty ranges)
         assert!(self.start < self.end, "empty range");
         let x: f64 = rng.random();
         self.start + (self.end - self.start) * x

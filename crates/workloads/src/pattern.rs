@@ -42,10 +42,12 @@ impl PatternGen {
     /// allowed and never selected).
     pub fn stochastic(weights: &[(u16, f64)], seed: u64) -> Self {
         let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+        // check:allow(weights and periods are workload constants)
         assert!(total > 0.0, "at least one weight must be positive");
         let mut acc = 0.0;
         let mut cdf = Vec::with_capacity(weights.len());
         for &(idx, w) in weights {
+            // check:allow(weights and periods are workload constants)
             assert!(w >= 0.0, "negative weight for object {idx}");
             if w > 0.0 {
                 acc += w / total;
@@ -85,13 +87,17 @@ impl PatternGen {
         overall_weights: &[(u16, f64)],
         class_weights: &[(u16, f64)],
     ) -> Self {
+        // check:allow(weights and periods are workload constants)
         assert!(stride >= 2, "stride must be at least 2");
+        // check:allow(weights and periods are workload constants)
         assert_eq!(period % stride, 0, "period must be a multiple of stride");
+        // check:allow(weights and periods are workload constants)
         assert!(class < stride, "class out of range");
 
         let scale = 1_000_000.0;
         let norm = |ws: &[(u16, f64)]| -> Vec<(u16, f64)> {
             let total: f64 = ws.iter().map(|&(_, w)| w).sum();
+            // check:allow(weights and periods are workload constants)
             assert!(total > 0.0);
             ws.iter().map(|&(i, w)| (i, w / total)).collect()
         };
@@ -107,6 +113,7 @@ impl PatternGen {
         let mut rest: Vec<(u16, f64)> = Vec::new();
         for &(idx, w) in &overall {
             let r = (stride as f64 * w - class_of(idx)) / (stride as f64 - 1.0);
+            // check:allow(weights and periods are workload constants)
             assert!(
                 r >= -1e-9,
                 "class weight for object {idx} exceeds stride x overall share"
@@ -140,6 +147,7 @@ impl PatternGen {
 
     /// A plain periodic sequence with the given object-index cycle.
     pub fn periodic(seq: Vec<u16>) -> Self {
+        // check:allow(weights and periods are workload constants)
         assert!(!seq.is_empty(), "sequence must be non-empty");
         PatternGen::Periodic { seq, pos: 0 }
     }

@@ -22,12 +22,15 @@ impl SmoothWrr {
     /// Build from non-negative integer weights; at least one must be
     /// positive. (Scale fractional weights up, e.g. by 1000.)
     pub fn new(weights: Vec<i64>) -> Self {
+        // check:allow(weights come from PatternGen, which normalises constant workload weights)
         assert!(!weights.is_empty(), "need at least one weight");
+        // check:allow(weights come from PatternGen, which normalises constant workload weights)
         assert!(
             weights.iter().all(|&w| w >= 0),
             "weights must be non-negative"
         );
         let total: i64 = weights.iter().sum();
+        // check:allow(weights come from PatternGen, which normalises constant workload weights)
         assert!(total > 0, "at least one weight must be positive");
         SmoothWrr {
             current: vec![0; weights.len()],

@@ -400,6 +400,12 @@ fn main() {
                 );
             }
         }
+        println!(
+            "  {:<24} {} of {} application accesses",
+            "engine.stepped_accesses",
+            report.metrics.counter("engine.stepped_accesses"),
+            report.stats.app.accesses,
+        );
         if let Some(path) = &flamegraph_out {
             std::fs::write(path, prof.collapsed()).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");

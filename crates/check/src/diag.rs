@@ -60,6 +60,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("CS-P004", "zero PMU counters configured"),
     ("CS-P005", "search counter or logical-way arity is unusable"),
     ("CS-P006", "fault knob is out of range"),
+    ("CS-P007", "more PMU counters configured than the cap"),
     ("CS-S001", "campaign spec is not valid JSON"),
     ("CS-S002", "campaign spec has an unknown key"),
     ("CS-S003", "campaign spec has a duplicate key"),

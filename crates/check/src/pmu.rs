@@ -12,10 +12,11 @@
 //! period that breaks [`cachescope_core::SamplingPeriod::check`] (it can
 //! reach zero, or its adaptive target is not positive), `CS-P004` zero
 //! PMU counters, `CS-P005` n-way search arity vs. counter count,
-//! `CS-P006` fault knob out of range.
+//! `CS-P006` fault knob out of range, `CS-P007` more PMU counters than
+//! [`PmuConfig::MAX_REGION_COUNTERS`].
 
 use cachescope_campaign::Cell;
-use cachescope_core::{FaultConfig, TechniqueConfig};
+use cachescope_core::{FaultConfig, PmuConfig, TechniqueConfig};
 use cachescope_sim::{ObjectDecl, RunLimit};
 
 use crate::diag::Diagnostic;
@@ -58,6 +59,20 @@ pub fn check_cell(cell: &Cell, source: &str) -> Vec<Diagnostic> {
                 format!("cell {who}: zero PMU counters configured"),
             )
             .with_hint("every technique needs at least the global miss counter's width"),
+        );
+    }
+    if cell.counters > PmuConfig::MAX_REGION_COUNTERS {
+        diags.push(
+            Diagnostic::error(
+                "CS-P007",
+                source,
+                format!(
+                    "cell {who}: {} PMU counters exceed the cap of {}",
+                    cell.counters,
+                    PmuConfig::MAX_REGION_COUNTERS
+                ),
+            )
+            .with_hint("the CLI and the daemon refuse the count; real PMUs carry a handful"),
         );
     }
     match &cell.technique {
@@ -240,6 +255,17 @@ mod tests {
         let mut c = cell();
         c.counters = 0;
         assert_eq!(codes(&check_cell(&c, "t")), ["CS-P004"]);
+    }
+
+    #[test]
+    fn counters_above_the_cap_are_p007() {
+        let mut c = cell();
+        c.counters = PmuConfig::MAX_REGION_COUNTERS;
+        assert!(check_cell(&c, "t").is_empty());
+        for n in [PmuConfig::MAX_REGION_COUNTERS + 1, 100_000_000_000] {
+            c.counters = n;
+            assert_eq!(codes(&check_cell(&c, "t")), ["CS-P007"], "{n}");
+        }
     }
 
     #[test]

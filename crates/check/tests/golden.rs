@@ -209,6 +209,13 @@ fn p004_zero_counters() {
 }
 
 #[test]
+fn p007_counters_above_the_cap() {
+    let mut c = base_cell();
+    c.counters = 100_000_000_000;
+    assert_eq!(codes(&pmu::check_cell(&c, "golden")), ["CS-P007"]);
+}
+
+#[test]
 fn p005_search_needs_two_counters() {
     let mut c = base_cell();
     c.technique = TechniqueConfig::Search(SearchConfig::default());

@@ -4,22 +4,28 @@
 //! the run must return, the refusal must surface as its typed
 //! diagnostic, ground truth must equal that of the same input with the
 //! refused records deleted, and the static oracle, which applies the
-//! same rule, must find ground truth inside its bounds.
+//! same rule, must find ground truth inside its bounds. Hostile option
+//! values are refused before any run starts.
 
 use cachescope_analyze::{analyze_program, AnalyzeConfig};
 use cachescope_campaign::spec::{
     HARDENED_CONSISTENCY_TOLERANCE, HARDENED_MAX_REMEASURE, HARDENED_OUTLIER_PCT,
 };
+use cachescope_campaign::Cell;
 use cachescope_check::bounds::{analysis_limit, check_report_bounds};
+use cachescope_check::pmu::check_cell;
 use cachescope_check::trace::check_trace;
 use cachescope_core::export::report_to_json;
 use cachescope_core::{
-    Experiment, ExperimentReport, FaultConfig, SamplerConfig, SamplingPeriod, SearchConfig,
-    TechniqueConfig,
+    Experiment, ExperimentReport, FaultConfig, PmuConfig, SamplerConfig, SamplingPeriod,
+    SearchConfig, TechniqueConfig,
 };
 use cachescope_obs::ObsEvent;
 use cachescope_sim::tracefile::{RecordingProgram, TraceFormat};
-use cachescope_sim::{Event, MemRef, ObjectDecl, Program, RunLimit, TraceProgram};
+use cachescope_sim::{
+    CacheConfig, Event, MemRef, ObjectDecl, Program, RunLimit, TimelineConfig, TraceProgram,
+};
+use cachescope_workloads::spec::Scale;
 
 const HEAP: u64 = 0x1_4100_0000;
 /// Base of an extent whose `base + 8192` wraps the address space.
@@ -273,6 +279,54 @@ fn truth(report: &ExperimentReport) -> (Vec<(String, u64, u64, u64)>, u64) {
         .map(|o| (o.name.clone(), o.base, o.size, o.misses))
         .collect();
     (objects, report.stats.unmapped_misses)
+}
+
+/// Option values that used to abort a run are refused where they enter,
+/// by the predicates the CLI (`--counters`, `--l1`, `--timeline`) and
+/// the daemon hello (`counters`) call: a zero count aborted the search,
+/// a huge one `Pmu::new`'s allocation, a 0 KiB L1 `CacheConfig::validate`
+/// and a zero bucket width `Timeline::new`. `check` flags the same
+/// counts in a campaign cell.
+#[test]
+fn hostile_option_values_are_refused_where_they_enter() {
+    let cap = PmuConfig::MAX_REGION_COUNTERS;
+    for n in [0, cap + 1, 100_000_000_000, usize::MAX] {
+        assert!(PmuConfig::check_counters(n).is_err(), "{n} counters");
+    }
+    for n in [1, 2, 10, cap] {
+        assert_eq!(PmuConfig::check_counters(n), Ok(()), "{n} counters");
+    }
+    let top = CacheConfig::MAX_L1_KIB;
+    for kib in [0, top + 1, u64::MAX / 1024 + 1, u64::MAX] {
+        assert!(CacheConfig::l1_kib(kib).is_err(), "L1 of {kib} KiB");
+    }
+    for kib in [1, 3, 32, 1000, top] {
+        let l1 = CacheConfig::l1_kib(kib).unwrap();
+        l1.validate();
+        assert!(l1.size_bytes >= kib * 1024 && l1.size_bytes.is_power_of_two());
+    }
+    assert!(TimelineConfig::new(0).is_err());
+    assert_eq!(TimelineConfig::new(1).map(|t| t.bucket_cycles), Ok(1));
+    let cell = |counters: usize| Cell {
+        index: 0,
+        workload: "mgrid".into(),
+        scale: Scale::Test,
+        label: "hostile".into(),
+        seed: 1,
+        technique: TechniqueConfig::Search(SearchConfig::default()),
+        counters,
+        limit: RunLimit::AppMisses(1000),
+        faults: FaultConfig::default(),
+    };
+    let codes = |n| -> Vec<_> {
+        check_cell(&cell(n), "hostile")
+            .iter()
+            .map(|d| d.code)
+            .collect()
+    };
+    assert_eq!(codes(100_000_000_000), ["CS-P007"]);
+    assert!(codes(0).contains(&"CS-P004"));
+    assert!(codes(cap).is_empty());
 }
 
 #[test]

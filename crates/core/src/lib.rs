@@ -34,7 +34,7 @@ pub mod sampler;
 pub mod search;
 pub mod technique;
 
-pub use cachescope_hwpm::{FaultConfig, FaultTally};
+pub use cachescope_hwpm::{FaultConfig, FaultTally, PmuConfig};
 pub use results::{rank_delta, Estimate, ExperimentReport, ReportRow, TechniqueReport};
 pub use runner::Experiment;
 pub use sampler::{Sampler, SamplerConfig, SamplingPeriod};

@@ -327,8 +327,13 @@ mod tests {
         // access per interrupt and runs the rest in bulk.
         let stepped = profiled.metrics.counter("engine.stepped_accesses");
         assert!(stepped > 0 && stepped * 100 < profiled.stats.app.accesses);
+        // And the count of misses the page memo could not resolve: the
+        // first miss in each page, and few others.
+        let slow = profiled.metrics.counter("engine.slow_resolves");
+        assert!(slow > 0 && slow * 20 < profiled.stats.app.misses);
         let plain_json = plain.metrics.to_json().render();
         assert!(!plain_json.contains("engine.stepped_accesses"));
+        assert!(!plain_json.contains("engine.slow_resolves"));
     }
 
     #[test]

@@ -1142,7 +1142,7 @@ impl Searcher {
 impl Handler for Searcher {
     fn init(&mut self, ctx: &mut EngineCtx) {
         self.k = ctx.num_counters();
-        // check:allow(known defect: a zero --counters or hello count gets here unrefused)
+        // check:allow(`PmuConfig::check_counters` refuses a zero count at the CLI and the daemon hello, and check reports it as CS-P004)
         assert!(self.k >= 1, "the search needs at least 1 physical counter");
         // Logical width: timeshare the physical counters when asked for
         // (or forced to, with a single counter) more ways than exist.

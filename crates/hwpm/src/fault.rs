@@ -15,8 +15,6 @@
 //! builds no model at all for it, so the fault layer provably cannot
 //! perturb fault-free experiments.
 
-use std::collections::VecDeque;
-
 use crate::Addr;
 
 /// Rates and parameters for each injected fault class. The default
@@ -151,17 +149,20 @@ impl FaultRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform integer in [0, bound) without modulo bias (Lemire).
+    /// Uniform integer in [0, bound) without modulo bias (Lemire's
+    /// nearly-divisionless method: the rejection threshold `2^64 mod
+    /// bound` is below `bound`, so it is computed only for a low product
+    /// half under `bound`).
     fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        let mut m = (self.next_u64() as u128) * (bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 }
 
@@ -177,19 +178,31 @@ impl FaultRng {
 pub struct FaultModel {
     cfg: FaultConfig,
     rng: FaultRng,
-    /// Most recent *true* miss addresses, newest last, bounded by
-    /// `skid_depth`; a skidded sample reports one of these.
-    recent: VecDeque<Addr>,
+    /// The most recent *true* miss addresses, in a ring of
+    /// `skid_depth.max(1)` slots (none without skid); a skidded sample
+    /// reports one of these.
+    recent: Box<[Addr]>,
+    /// The ring slot the next miss address goes into.
+    head: usize,
+    /// Addresses held so far, up to the ring's length.
+    held: usize,
     tally: FaultTally,
 }
 
 impl FaultModel {
     /// A model for `cfg`, seeded from `cfg.seed`.
     pub fn new(cfg: &FaultConfig) -> Self {
+        let ring = if cfg.skid_rate > 0.0 {
+            cfg.skid_depth.max(1)
+        } else {
+            0
+        };
         FaultModel {
             cfg: cfg.clone(),
             rng: FaultRng::new(cfg.seed),
-            recent: VecDeque::with_capacity(cfg.skid_depth + 1),
+            recent: vec![0; ring].into_boxed_slice(),
+            head: 0,
+            held: 0,
             tally: FaultTally::default(),
         }
     }
@@ -209,24 +222,32 @@ impl FaultModel {
     /// Region counters always see the true address — skid corrupts the
     /// *sampled* address, not the conditional counting.
     pub fn observe_miss(&mut self, addr: Addr) -> Addr {
+        let depth = self.recent.len();
         let reported = if self.cfg.skid_rate > 0.0
-            && !self.recent.is_empty()
+            && self.held > 0
             && self.rng.next_f64() < self.cfg.skid_rate
         {
             // Lag uniformly 1..=depth references behind (bounded by
-            // what has actually been seen); recent is newest-last.
-            let avail = self.recent.len().min(self.cfg.skid_depth.max(1));
-            let lag = 1 + self.rng.below(avail as u64) as usize;
+            // what has actually been seen): the slot `lag` behind the
+            // head, wrapping.
+            let lag = 1 + self.rng.below(self.held as u64) as usize;
             self.tally.skidded_samples += 1;
-            self.recent[self.recent.len() - lag]
+            let i = if lag <= self.head {
+                self.head - lag
+            } else {
+                self.head + depth - lag
+            };
+            self.recent[i]
         } else {
             addr
         };
         if self.cfg.skid_rate > 0.0 {
-            self.recent.push_back(addr);
-            while self.recent.len() > self.cfg.skid_depth.max(1) {
-                self.recent.pop_front();
+            self.recent[self.head] = addr;
+            self.head += 1;
+            if self.head == depth {
+                self.head = 0;
             }
+            self.held = (self.held + 1).min(depth);
         }
         reported
     }
@@ -384,6 +405,71 @@ mod tests {
             assert!(r < i && r >= i - 4, "reported {r} for miss {i}");
         }
         assert_eq!(m.tally().skidded_samples, 99);
+    }
+
+    /// `FaultRng::below` before the nearly-divisionless form: the
+    /// threshold computed before every draw.
+    fn below_oracle(rng: &mut FaultRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.next_u64() as u128) * (bound as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_the_threshold_first_oracle() {
+        let bounds = [1, 3, 7, 8, (1u64 << 32) + 1, u64::MAX, (1 << 63) + 1];
+        for seed in 0..16u64 {
+            for &bound in &bounds {
+                let mut a = FaultRng::new(seed);
+                let mut b = a.clone();
+                for _ in 0..2_000 {
+                    assert_eq!(a.below(bound), below_oracle(&mut b, bound), "bound {bound}");
+                }
+                // Same draws consumed, so the streams stay in step.
+                assert_eq!(a.s, b.s, "seed {seed} bound {bound}");
+            }
+        }
+    }
+
+    /// The skid history before the ring: a deque, newest last, trimmed
+    /// to `skid_depth.max(1)` after each push, drawing through the
+    /// threshold-first `below`.
+    #[test]
+    fn skid_ring_matches_the_deque_oracle() {
+        for depth in [0usize, 1, 2, 3, 8] {
+            for seed in 0..4u64 {
+                let cfg = FaultConfig {
+                    skid_depth: depth,
+                    skid_rate: 0.7,
+                    seed,
+                    ..Default::default()
+                };
+                let mut model = FaultModel::new(&cfg);
+                let mut rng = FaultRng::new(seed);
+                let mut recent = std::collections::VecDeque::new();
+                let mut addrs = FaultRng::new(seed ^ 0xadd5);
+                for _ in 0..5_000 {
+                    let addr = addrs.next_u64();
+                    let want = if !recent.is_empty() && rng.next_f64() < cfg.skid_rate {
+                        let avail = recent.len().min(depth.max(1));
+                        let lag = 1 + below_oracle(&mut rng, avail as u64) as usize;
+                        recent[recent.len() - lag]
+                    } else {
+                        addr
+                    };
+                    recent.push_back(addr);
+                    while recent.len() > depth.max(1) {
+                        recent.pop_front();
+                    }
+                    assert_eq!(model.observe_miss(addr), want, "depth {depth} seed {seed}");
+                }
+                assert!(model.tally().skidded_samples > 0);
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! worker is touched.
 
 use cachescope_campaign::Fnv1a64;
-use cachescope_core::TechniqueConfig;
+use cachescope_core::{PmuConfig, TechniqueConfig};
 use cachescope_obs::{json, Json};
 use cachescope_sim::tracefile::BinStreamDecoder;
 use cachescope_sim::{Event, ObjectDecl, TraceProgram};
@@ -107,10 +107,12 @@ impl SessionConfig {
                         .ok_or_else(|| bad("\"misses\" must be an integer".to_string()))?;
                 }
                 "counters" => {
-                    cfg.counters = val
+                    let n = val
                         .as_u64()
-                        .ok_or_else(|| bad("\"counters\" must be an integer".to_string()))?
-                        as usize;
+                        .ok_or_else(|| bad("\"counters\" must be an integer".to_string()))?;
+                    cfg.counters = usize::try_from(n).unwrap_or(usize::MAX);
+                    PmuConfig::check_counters(cfg.counters)
+                        .map_err(|e| bad(format!("\"counters\": {e}")))?;
                 }
                 "interval" => {
                     cfg.interval = val
@@ -303,6 +305,17 @@ mod tests {
         assert_eq!(err.code, "bad_config");
         let err = SessionConfig::from_json(br#"{"technique":"magic"}"#).unwrap_err();
         assert_eq!(err.code, "bad_config");
+        // A count the PMU cannot be built with is refused at admission,
+        // before any simulation: zero would abort the search, a huge one
+        // the counter array's allocation.
+        for n in ["0", "65", "100000000000", "18446744073709551615"] {
+            let hello = format!(r#"{{"technique":"search","counters":{n}}}"#);
+            let err = SessionConfig::from_json(hello.as_bytes()).unwrap_err();
+            assert_eq!(err.code, "bad_config", "counters {n}");
+            assert!(err.message.contains("PMU counters"), "{}", err.message);
+        }
+        let cfg = SessionConfig::from_json(br#"{"counters":64}"#).unwrap();
+        assert_eq!(cfg.counters, PmuConfig::MAX_REGION_COUNTERS);
     }
 
     #[test]

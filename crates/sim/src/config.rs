@@ -67,6 +67,34 @@ impl CacheConfig {
         self.num_lines() / self.assoc as u64
     }
 
+    /// The largest L1 [`CacheConfig::l1_kib`] builds: 64 MiB, 32 times
+    /// the paper's 2 MB cache.
+    pub const MAX_L1_KIB: u64 = 64 * 1024;
+
+    /// The L1 `cachescope --l1 <kib>` puts in front of the monitored
+    /// cache: `kib` KiB rounded up to a power of two, 64 B lines, 2 ways,
+    /// a 1-cycle hit. Refuses 0 KiB, which holds no line, and more than
+    /// [`CacheConfig::MAX_L1_KIB`], whose tag array could not be
+    /// allocated; every size it accepts passes
+    /// [`CacheConfig::validate`].
+    pub fn l1_kib(kib: u64) -> Result<CacheConfig, String> {
+        if kib == 0 || kib > Self::MAX_L1_KIB {
+            return Err(format!(
+                "an L1 of {kib} KiB: the size must be 1 to {} KiB",
+                Self::MAX_L1_KIB
+            ));
+        }
+        Ok(CacheConfig {
+            size_bytes: (kib * 1024).next_power_of_two(),
+            line_bytes: 64,
+            assoc: 2,
+            hit_cycles: 1,
+            miss_penalty: 0,
+            writeback_penalty: 0,
+            policy: Default::default(),
+        })
+    }
+
     /// Panics with a descriptive message if the geometry is inconsistent.
     pub fn validate(&self) {
         // check:allow(geometries are code constants; --l1 gives a power of two, 64 B lines, 2 ways)
@@ -84,7 +112,7 @@ impl CacheConfig {
         // check:allow(geometries are code constants; --l1 gives a power of two, 64 B lines, 2 ways)
         assert!(self.assoc >= 1, "associativity must be at least 1");
         let lines = self.size_bytes / self.line_bytes as u64;
-        // check:allow(known defect: `--l1 0` builds a zero-line L1 that fails here unrefused)
+        // check:allow(code geometries divide evenly, and `CacheConfig::l1_kib` refuses the 0 KiB L1 that would hold no line)
         assert!(
             lines >= self.assoc as u64 && lines.is_multiple_of(self.assoc as u64),
             "associativity {} must divide line count {}",

@@ -14,7 +14,7 @@ use cachescope_obs::{Obs, ObsEvent};
 
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-use crate::epoch::ExtentError;
+use crate::epoch::{ExtentError, PageMemo, Span};
 use crate::memref::MemRef;
 use crate::program::{Event, ObjectKind, Program};
 use crate::stats::{Counts, ObjectStats, RunStats, Timeline};
@@ -53,10 +53,11 @@ struct GroundTruth {
     /// Live extents, epoch-versioned: the tree side absorbs alloc churn
     /// at O(log n), quiet epochs resolve through the flat snapshot.
     index: crate::epoch::EpochIndex,
-    /// Direct-mapped resolve memo tagged with the index epoch; one tag
-    /// compare invalidates everything on churn, and interleaved hot
-    /// objects stay resident instead of thrashing a single entry.
-    memo: crate::epoch::ExtentMemo,
+    /// Page-granular resolve memo in front of `index`, held inline.
+    /// `insert` and `remove` invalidate the pages their extent overlaps.
+    pages: PageMemo,
+    /// Resolves the page memo could not answer.
+    slow_resolves: u64,
 }
 
 impl GroundTruth {
@@ -76,6 +77,7 @@ impl GroundTruth {
         let id = self.objects.len() as u32;
         let (base, end) = crate::epoch::extent_of(base, size);
         self.index.insert(base, end, id)?;
+        self.pages.invalidate(base, end);
         self.objects.push(ObjectStats {
             name,
             base,
@@ -88,18 +90,30 @@ impl GroundTruth {
     }
 
     fn remove(&mut self, base: Addr) -> Option<u32> {
-        self.index.remove(base).map(|(_, id)| id)
+        let (end, id) = self.index.remove(base)?;
+        self.pages.invalidate(base, end);
+        Some(id)
     }
 
-    #[inline]
+    /// The object whose live extent holds `addr`: one page-memo probe,
+    /// and [`GroundTruth::resolve_slow`] when it misses.
+    #[cfg(test)]
     fn resolve(&mut self, addr: Addr) -> Option<u32> {
-        let epoch = self.index.epoch();
-        if let Some(id) = self.memo.lookup(addr, epoch) {
-            return Some(id);
+        self.pages
+            .lookup(addr)
+            .unwrap_or_else(|| self.resolve_slow(addr))
+    }
+
+    /// Resolve `addr` through the index and cache its page.
+    #[inline(never)]
+    fn resolve_slow(&mut self, addr: Addr) -> Option<u32> {
+        self.slow_resolves += 1;
+        let span = self.index.locate(addr);
+        self.pages.fill(addr, span);
+        match span {
+            Span::Extent { id, .. } => Some(id),
+            Span::Gap { .. } => None,
         }
-        let (base, end, id) = self.index.resolve(addr)?;
-        self.memo.fill(addr, base, end, id, epoch);
-        Some(id)
     }
 
     /// The registry with miss tallies folded back in.
@@ -589,6 +603,9 @@ impl Engine {
         // Profiled runs only: unprofiled snapshots are diffed by goldens.
         if self.obs.profiler.is_enabled() {
             self.obs.metrics.add("engine.stepped_accesses", self.steps);
+            self.obs
+                .metrics
+                .add("engine.slow_resolves", self.truth.slow_resolves);
         }
         // With a fault model active, summarize what it injected (the
         // emit also derives the hwpm.faults_injected metric). Absent a
@@ -669,8 +686,16 @@ impl Engine {
         if !out.hit {
             self.app.misses += 1;
             if self.attribution {
-                let sp = self.obs.profiler.enter("engine.resolve");
-                match self.truth.resolve(r.addr) {
+                let owner = match self.truth.pages.lookup(r.addr) {
+                    Some(owner) => owner,
+                    None => {
+                        let sp = self.obs.profiler.enter("engine.resolve");
+                        let owner = self.truth.resolve_slow(r.addr);
+                        self.obs.profiler.exit(sp);
+                        owner
+                    }
+                };
+                match owner {
                     Some(id) => {
                         self.truth.miss_counts[id as usize] += 1;
                         if let Some(t) = &mut self.timeline {
@@ -682,7 +707,6 @@ impl Engine {
                 if let Some(t) = &mut self.timeline {
                     t.record_miss(now);
                 }
-                self.obs.profiler.exit(sp);
             }
             self.pmu.record_miss(r.addr);
             self.poll_faults();
@@ -2133,7 +2157,144 @@ mod chunked_equivalence_tests {
 
 #[cfg(test)]
 mod ground_truth_stress_tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::rng::SmallRng;
+
+    const PAGE: u64 = 4096;
+
+    /// The page memo's oracle: `GroundTruth`'s resolve against a
+    /// `BTreeMap` of live extents, over seeded interleavings of alloc,
+    /// free and resolve. Extents run from 1 byte to many pages,
+    /// page-aligned or straddling pages, adjacent or with gaps; some
+    /// inserts are refused (overlapping, empty, wrapping); some extents
+    /// span at least a table's worth of pages; and some sit in the top
+    /// page of the address space. Resolves favour the pages the memo
+    /// has cached, so a stale slot would be read. The chunked-vs-scalar
+    /// suites cannot catch a memo fault, since both loops share
+    /// `GroundTruth`.
+    #[test]
+    fn page_memo_resolve_matches_btreemap_oracle() {
+        let small = 0x7_0000_0000u64; // 64 pages of small extents
+        let huge = 0x9_0000_0000u64; // extents of 4096+ pages
+        let top = u64::MAX - 8 * PAGE + 1; // the last eight pages
+        let table = crate::epoch::PAGE_SLOTS as u64;
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(0x9A6E_0000 ^ seed);
+            let mut truth = GroundTruth::default();
+            let mut oracle: BTreeMap<Addr, (Addr, u32)> = BTreeMap::new();
+            let mut tried: Vec<Addr> = Vec::new();
+            let (mut refused, mut huge_live, mut cached) = (0u32, 0u32, 0u32);
+            for step in 0..8_000u32 {
+                match rng.random_range(0u64..20) {
+                    0..=5 => {
+                        let (base, size) = match rng.random_range(0u64..16) {
+                            // 1 byte to a page, anywhere in the small area.
+                            0..=4 => (
+                                small + rng.random_range(0..64 * PAGE),
+                                rng.random_range(1u64..=PAGE),
+                            ),
+                            // Page-aligned, one to four pages.
+                            5..=8 => (
+                                small + rng.random_range(0u64..64) * PAGE,
+                                rng.random_range(1u64..=4) * PAGE,
+                            ),
+                            // Straddling a page boundary.
+                            9 | 10 => (
+                                small + rng.random_range(1u64..64) * PAGE
+                                    - rng.random_range(1u64..256),
+                                rng.random_range(2u64..3 * PAGE),
+                            ),
+                            // Adjacent to a live extent's end.
+                            11 | 12 => {
+                                match oracle.iter().nth(rng.random_range(0..oracle.len().max(1))) {
+                                    Some((_, &(end, _))) => (end, rng.random_range(1u64..2 * PAGE)),
+                                    None => (small, PAGE),
+                                }
+                            }
+                            // At least a table's worth of pages.
+                            13 => (
+                                huge + rng.random_range(0u64..64) * PAGE
+                                    + rng.random_range(0u64..PAGE),
+                                (table + rng.random_range(0u64..64)) * PAGE
+                                    + rng.random_range(0u64..PAGE),
+                            ),
+                            // In the top pages, some wrapping.
+                            14 => (
+                                top + rng.random_range(0..8 * PAGE - 1),
+                                rng.random_range(1u64..3 * PAGE),
+                            ),
+                            // Empty.
+                            _ => (small + rng.random_range(0..64 * PAGE), 0),
+                        };
+                        let (b, e) = crate::epoch::extent_of(base, size);
+                        let clean = b < e
+                            && oracle
+                                .range(..e)
+                                .next_back()
+                                .is_none_or(|(_, &(oe, _))| oe <= b);
+                        let want = clean.then_some(truth.objects.len() as u32);
+                        let got = truth.insert(format!("o{step}"), base, size, ObjectKind::Heap);
+                        assert_eq!(got.ok(), want, "insert {b:#x}..{e:#x} at step {step}");
+                        if let Some(id) = want {
+                            oracle.insert(b, (e, id));
+                            huge_live += u32::from(e - b >= table * PAGE);
+                        } else {
+                            refused += 1;
+                        }
+                        tried.push(base);
+                    }
+                    6..=8 => {
+                        // Free a base tried before (live or not) or a
+                        // random address.
+                        let base = match tried.len() {
+                            0 => small,
+                            n if rng.random_range(0u64..4) > 0 => tried[rng.random_range(0..n)],
+                            _ => small + rng.random_range(0..64 * PAGE),
+                        };
+                        let want = oracle.remove(&base).map(|(_, id)| id);
+                        assert_eq!(truth.remove(base), want, "free {base:#x} at step {step}");
+                    }
+                    _ => {
+                        let addr = match rng.random_range(0u64..8) {
+                            // Near a live extent's edges.
+                            0 | 1 => {
+                                match oracle.iter().nth(rng.random_range(0..oracle.len().max(1))) {
+                                    Some((&b, &(e, _))) => [b.wrapping_sub(1), b, e - 1, e]
+                                        [rng.random_range(0..4usize)],
+                                    None => small,
+                                }
+                            }
+                            // A few fixed pages in the huge area, so they
+                            // stay cached across huge inserts and frees.
+                            2 => huge + rng.random_range(0u64..8) * 997 * PAGE + 8,
+                            3 => {
+                                top + rng.random_range(0..8 * PAGE - 1) + rng.random_range(0u64..2)
+                            }
+                            _ => small + rng.random_range(0..64 * PAGE),
+                        };
+                        let want = oracle
+                            .range(..=addr)
+                            .next_back()
+                            .and_then(|(_, &(e, id))| (addr < e).then_some(id));
+                        cached += u32::from(truth.pages.lookup(addr).is_some());
+                        assert_eq!(
+                            truth.resolve(addr),
+                            want,
+                            "resolve {addr:#x} at step {step}"
+                        );
+                    }
+                }
+                assert_eq!(truth.index.len(), oracle.len());
+            }
+            // Every branch was reached.
+            assert!(
+                refused > 0 && huge_live > 0 && cached > 500,
+                "seed {seed}: {refused} {huge_live} {cached}"
+            );
+        }
+    }
 
     /// 100k live heap blocks under churn: the BTreeMap extent index keeps
     /// insert/remove/resolve fast (the sorted-Vec predecessor was O(n)

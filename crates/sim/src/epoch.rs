@@ -11,11 +11,17 @@
 //!
 //! **Resolve.** The engine resolves an object for *every* application
 //! cache miss, so attribution throughput is bounded by how fast "which
-//! live extent contains this address?" can be answered. Alloc churn and
-//! resolve traffic have very different shapes — churn is bursty (an
-//! alloc/free event, then thousands of misses against a stable heap)
-//! while resolves are continuous — so the index keeps two
-//! representations and lets the workload pick:
+//! live extent contains this address?" can be answered. The common case
+//! is a miss in a page that lies wholly inside one object or wholly
+//! outside all of them, and the engine answers it with one probe of a
+//! [`PageMemo`]: a direct-mapped table of 4 KiB pages, each mapped to
+//! an object id or to "unmapped", which the engine invalidates exactly,
+//! page by page, at each alloc and free. Only a probe that misses
+//! reaches the index.
+//! Alloc churn and those slow resolves have very different shapes —
+//! churn is bursty (an alloc/free event, then thousands of misses
+//! against a stable heap) while resolves are continuous — so the index
+//! keeps two representations and lets the workload pick:
 //!
 //! * a `BTreeMap` of live extents, O(log n) insert/remove, used directly
 //!   for resolves during churn-heavy epochs;
@@ -23,11 +29,15 @@
 //!   churn quiets down, resolved with a branchless binary search (or a
 //!   straight containment scan for tiny registries).
 //!
+//! [`EpochIndex::locate`] is the resolve the page memo fills from: for
+//! an unmapped address it also reports the gap around it, so unmapped
+//! pages are cached too.
+//!
 //! Every mutation bumps an **epoch** counter. Callers that memoise
-//! resolves in an [`ExtentMemo`] (the engine's ids, the object map's walk
-//! traces) tag entries with the epoch at fill time; a tag mismatch is a
-//! miss, so one integer compare invalidates every stale memo at once — no
-//! clearing, no per-entry bookkeeping on the alloc path.
+//! resolves in an [`ExtentMemo`] (the object map's walk traces) tag
+//! entries with the epoch at fill time; a tag mismatch is a miss, so one
+//! integer compare invalidates every stale memo at once — no clearing,
+//! no per-entry bookkeeping on the alloc path.
 
 use std::collections::BTreeMap;
 
@@ -90,6 +100,16 @@ const LINEAR_SCAN_MAX: usize = 16;
 /// above it the epoch has quieted down and one rebuild amortizes over a
 /// long run of cache-friendly flat probes.
 const REBUILD_AFTER: u32 = 64;
+
+/// Where an address lies, as [`EpochIndex::locate`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span {
+    /// Inside the live extent `[base, end)` of object `id`.
+    Extent { base: Addr, end: Addr, id: u32 },
+    /// Inside the gap `[lo, hi]` between live extents. Both bounds are
+    /// inclusive, so a gap can run to the top byte of the address space.
+    Gap { lo: Addr, hi: Addr },
+}
 
 /// Epoch-versioned map from live extents to object ids.
 #[derive(Debug, Default, Clone)]
@@ -200,6 +220,21 @@ impl EpochIndex {
         self.dirty = false;
     }
 
+    /// Should this resolve read the tree? Yes for the first
+    /// [`REBUILD_AFTER`] resolves of a dirty epoch; the one after them
+    /// rebuilds the snapshot, which answers from then on.
+    #[inline]
+    fn on_tree(&mut self) -> bool {
+        if self.dirty {
+            if self.resolves_since_churn < REBUILD_AFTER {
+                self.resolves_since_churn += 1;
+                return true;
+            }
+            self.rebuild();
+        }
+        false
+    }
+
     /// Resolve `addr` to the containing live extent.
     ///
     /// Churn-free epochs go through the flat snapshot (linear scan for
@@ -208,13 +243,9 @@ impl EpochIndex {
     /// [`REBUILD_AFTER`] resolves land without an intervening mutation.
     #[inline]
     pub fn resolve(&mut self, addr: Addr) -> Option<(Addr, Addr, u32)> {
-        if self.dirty {
-            if self.resolves_since_churn < REBUILD_AFTER {
-                self.resolves_since_churn += 1;
-                let (&b, &(e, id)) = self.map.range(..=addr).next_back()?;
-                return (addr < e).then_some((b, e, id));
-            }
-            self.rebuild();
+        if self.on_tree() {
+            let (&b, &(e, id)) = self.map.range(..=addr).next_back()?;
+            return (addr < e).then_some((b, e, id));
         }
         if self.snapshot.len() <= LINEAR_SCAN_MAX {
             // Extents are disjoint: the first containing one is the only
@@ -229,6 +260,39 @@ impl EpochIndex {
         let i = self.snapshot.partition_point(|&(b, _, _)| b <= addr);
         let &(b, e, id) = self.snapshot.get(i.wrapping_sub(1))?;
         (addr < e).then_some((b, e, id))
+    }
+
+    /// [`EpochIndex::resolve`] that also reports the gap around an
+    /// unmapped `addr`: [`Span::Gap`] runs from the end of the live
+    /// extent below it (or 0) to the byte before the live extent above
+    /// it (or the top of the address space). Reads the same side of the
+    /// index, tree or snapshot, as `resolve` would.
+    pub fn locate(&mut self, addr: Addr) -> Span {
+        use std::ops::Bound::{Excluded, Unbounded};
+        // The live extent based at or below `addr`, and the base of the
+        // next one above it (looked up in the tree only for a gap).
+        let (below, above) = if self.on_tree() {
+            let below = self.map.range(..=addr).next_back();
+            match below.map(|(&b, &(e, id))| (b, e, id)) {
+                Some((base, end, id)) if addr < end => return Span::Extent { base, end, id },
+                below => {
+                    let above = self.map.range((Excluded(addr), Unbounded)).next();
+                    (below, above.map(|(&b, _)| b))
+                }
+            }
+        } else {
+            let i = self.snapshot.partition_point(|&(b, _, _)| b <= addr);
+            let below = i.checked_sub(1).map(|j| self.snapshot[j]);
+            (below, self.snapshot.get(i).map(|&(b, _, _)| b))
+        };
+        match below {
+            Some((base, end, id)) if addr < end => Span::Extent { base, end, id },
+            _ => Span::Gap {
+                lo: below.map_or(0, |(_, end, _)| end),
+                // A live base above `addr` is at least `addr + 1`.
+                hi: above.map_or(Addr::MAX, |b| b - 1),
+            },
+        }
     }
 
     /// The live extents as a flat sorted slice, rebuilding if dirty.
@@ -286,10 +350,13 @@ struct MemoEntry<T> {
 /// epoch at fill time, so any alloc/free invalidates the whole memo with
 /// zero work — the tag compare fails.
 ///
-/// The payload is what a hit saves recomputing: the engine memoises the
-/// object id (`ExtentMemo<u32>`, through [`ExtentMemo::lookup`] and
-/// [`ExtentMemo::fill`]); the object map memoises a whole lookup walk,
-/// whose buffers [`ExtentMemo::fill_with`] hands back for reuse.
+/// The payload is what a hit saves recomputing: the object map memoises
+/// a whole lookup walk, whose buffers [`ExtentMemo::fill_with`] hands
+/// back for reuse, and the repository benchmark's resolve layer
+/// memoises object ids (`ExtentMemo<u32>`, through
+/// [`ExtentMemo::lookup`] and [`ExtentMemo::fill`]). The engine's
+/// ground truth resolves through a [`PageMemo`] instead, which an
+/// alloc or free invalidates page by page rather than all at once.
 #[derive(Debug, Clone)]
 pub struct ExtentMemo<T = u32> {
     slots: [MemoEntry<T>; MEMO_SLOTS],
@@ -359,6 +426,130 @@ impl ExtentMemo {
     #[inline]
     pub fn fill(&mut self, addr: Addr, base: Addr, end: Addr, id: u32, epoch: u64) {
         *self.fill_with(addr, base, end, epoch) = id;
+    }
+}
+
+/// log2 of the bytes in a [`PageMemo`] page: 4 KiB.
+const PAGE_SHIFT: u32 = 12;
+
+/// Slots in a [`PageMemo`]: 4096 pages of 4 KiB, so two pages alias only
+/// when they lie a multiple of 16 MiB apart.
+pub const PAGE_SLOTS: usize = 4096;
+
+/// The page of an empty slot. No address reaches it: page numbers are
+/// addresses shifted right by [`PAGE_SHIFT`].
+const NO_PAGE: u64 = u64::MAX;
+
+/// The id of a slot whose page lies inside a gap.
+const UNMAPPED: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct PageSlot {
+    page: u64,
+    id: u32,
+}
+
+const EMPTY_SLOT: PageSlot = PageSlot {
+    page: NO_PAGE,
+    id: UNMAPPED,
+};
+
+/// Direct-mapped, page-granular resolve memo: slot `page % PAGE_SLOTS`
+/// maps one 4 KiB page to the id of the live extent it lies in, or to
+/// "unmapped".
+///
+/// **Invariant.** A slot maps a page that lies wholly inside one live
+/// extent, or wholly inside one gap between live extents, until a
+/// mutation touches that page. [`PageMemo::fill`] keeps the first half:
+/// it fills a slot only for such a page, so a page that straddles an
+/// extent boundary always resolves through the index. The owner of the
+/// index keeps the second: each insert or remove that commits calls
+/// [`PageMemo::invalidate`] with its extent, which clears the slot of
+/// every page the extent overlaps. A mutation that overlaps no byte of
+/// a page leaves that page wholly inside its extent, or wholly inside a
+/// gap that grew or shrank, so its slot stays exact. Invalidation is
+/// exact and there is no epoch to compare.
+///
+/// The table is held inline (64 KiB), so a memo allocates nothing.
+pub struct PageMemo {
+    slots: [PageSlot; PAGE_SLOTS],
+}
+
+impl Default for PageMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for PageMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.slots.iter().filter(|s| s.page != NO_PAGE).count();
+        f.debug_struct("PageMemo").field("filled", &filled).finish()
+    }
+}
+
+impl PageMemo {
+    /// A memo with every slot empty.
+    pub const fn new() -> Self {
+        PageMemo {
+            slots: [EMPTY_SLOT; PAGE_SLOTS],
+        }
+    }
+
+    #[inline]
+    fn slot(page: u64) -> usize {
+        page as usize % PAGE_SLOTS
+    }
+
+    /// Where the page of `addr` lies, if its slot maps that page:
+    /// `Some(Some(id))` inside the live extent of `id`, `Some(None)`
+    /// inside a gap, and `None` when the slot maps another page or none.
+    #[inline]
+    pub fn lookup(&self, addr: Addr) -> Option<Option<u32>> {
+        let page = addr >> PAGE_SHIFT;
+        let s = self.slots[Self::slot(page)];
+        (s.page == page).then_some((s.id != UNMAPPED).then_some(s.id))
+    }
+
+    /// Record `span`, where [`EpochIndex::locate`] found `addr`, if the
+    /// page of `addr` lies wholly inside it. Otherwise leave the slot
+    /// as it is.
+    #[inline]
+    pub fn fill(&mut self, addr: Addr, span: Span) {
+        let (lo, hi, id) = match span {
+            // An id equal to the unmapped marker could not be told apart
+            // from a gap, so it is never cached.
+            Span::Extent { id: UNMAPPED, .. } => return,
+            Span::Extent { base, end, id } => (base, end - 1, id),
+            Span::Gap { lo, hi } => (lo, hi, UNMAPPED),
+        };
+        let page = addr >> PAGE_SHIFT;
+        let first = page << PAGE_SHIFT;
+        let last = first | ((1 << PAGE_SHIFT) - 1);
+        if lo <= first && last <= hi {
+            self.slots[Self::slot(page)] = PageSlot { page, id };
+        }
+    }
+
+    /// Forget every page the extent `[base, end)` overlaps: clear the
+    /// slots that map one, or every slot when the extent spans at least
+    /// [`PAGE_SLOTS`] pages. Call it after each insert or remove of that
+    /// extent commits.
+    pub fn invalidate(&mut self, base: Addr, end: Addr) {
+        if end <= base {
+            return; // holds no byte, so it touches no page
+        }
+        let (first, last) = (base >> PAGE_SHIFT, (end - 1) >> PAGE_SHIFT);
+        if last - first >= PAGE_SLOTS as u64 - 1 {
+            self.slots = [EMPTY_SLOT; PAGE_SLOTS];
+            return;
+        }
+        for page in first..=last {
+            let s = &mut self.slots[Self::slot(page)];
+            if s.page == page {
+                *s = EMPTY_SLOT;
+            }
+        }
     }
 }
 
@@ -578,6 +769,200 @@ mod tests {
         assert_eq!(memo.get(0x1_0010, 2), Some(&vec![4]));
     }
 
+    #[test]
+    fn locate_reports_the_extent_or_the_gap_around_it() {
+        let mut idx = EpochIndex::new();
+        assert_eq!(
+            idx.locate(0x1234),
+            Span::Gap {
+                lo: 0,
+                hi: u64::MAX
+            }
+        );
+        idx.insert(0x1000, 0x1100, 7).unwrap();
+        idx.insert(0x2000, 0x3000, 8).unwrap();
+        // Twice: once from the tree (a dirty epoch), once from the
+        // snapshot after the deferred rebuild.
+        for pass in 0..2 {
+            let extent = |base, end, id| Span::Extent { base, end, id };
+            assert_eq!(idx.locate(0x1000), extent(0x1000, 0x1100, 7), "pass {pass}");
+            assert_eq!(idx.locate(0x10ff), extent(0x1000, 0x1100, 7));
+            assert_eq!(idx.locate(0x0), Span::Gap { lo: 0, hi: 0xfff });
+            assert_eq!(idx.locate(0xfff), Span::Gap { lo: 0, hi: 0xfff });
+            assert_eq!(
+                idx.locate(0x1100),
+                Span::Gap {
+                    lo: 0x1100,
+                    hi: 0x1fff
+                }
+            );
+            assert_eq!(
+                idx.locate(0x1fff),
+                Span::Gap {
+                    lo: 0x1100,
+                    hi: 0x1fff
+                }
+            );
+            assert_eq!(idx.locate(0x2fff), extent(0x2000, 0x3000, 8));
+            let top = Span::Gap {
+                lo: 0x3000,
+                hi: u64::MAX,
+            };
+            assert_eq!(idx.locate(0x3000), top);
+            assert_eq!(idx.locate(u64::MAX), top);
+            for _ in 0..REBUILD_AFTER {
+                idx.resolve(0);
+            }
+        }
+        assert!(!idx.dirty, "the second pass read the snapshot");
+    }
+
+    #[test]
+    fn page_memo_fills_only_whole_pages() {
+        let mut memo = PageMemo::new();
+        assert_eq!(memo.lookup(0x1_0000), None, "cold memo");
+        // An extent of two and a half pages: its first two pages fill,
+        // the half page it shares with the gap above does not.
+        let ext = Span::Extent {
+            base: 0x1_0000,
+            end: 0x1_2800,
+            id: 4,
+        };
+        for addr in [0x1_0000, 0x1_1fff, 0x1_2000] {
+            memo.fill(addr, ext);
+        }
+        assert_eq!(memo.lookup(0x1_0008), Some(Some(4)));
+        assert_eq!(memo.lookup(0x1_1ff8), Some(Some(4)));
+        assert_eq!(memo.lookup(0x1_2000), None, "straddling page");
+        // A gap page fills as unmapped, a gap that ends inside a page
+        // does not.
+        memo.fill(
+            0x4_0010,
+            Span::Gap {
+                lo: 0x3_0000,
+                hi: 0x4_ffff,
+            },
+        );
+        memo.fill(
+            0x5_0010,
+            Span::Gap {
+                lo: 0x4_1000,
+                hi: 0x5_0fef,
+            },
+        );
+        assert_eq!(memo.lookup(0x4_0ff8), Some(None));
+        assert_eq!(memo.lookup(0x5_0010), None);
+        // Pages 16 MiB apart share a slot: the later fill wins, and the
+        // earlier page misses rather than reading the other's id.
+        let alias = 0x1_0000 + (PAGE_SLOTS as u64) * 4096;
+        memo.fill(
+            alias,
+            Span::Gap {
+                lo: alias,
+                hi: alias + 0xfff,
+            },
+        );
+        assert_eq!(memo.lookup(alias), Some(None));
+        assert_eq!(memo.lookup(0x1_0000), None);
+        // An id equal to the unmapped marker is never cached.
+        memo.fill(
+            0x7_0000,
+            Span::Extent {
+                base: 0x7_0000,
+                end: 0x7_1000,
+                id: UNMAPPED,
+            },
+        );
+        assert_eq!(memo.lookup(0x7_0000), None);
+    }
+
+    #[test]
+    fn page_memo_caches_the_top_page_of_the_address_space() {
+        let mut memo = PageMemo::new();
+        let top: u64 = !0xfff;
+        memo.fill(
+            u64::MAX,
+            Span::Gap {
+                lo: top,
+                hi: u64::MAX,
+            },
+        );
+        assert_eq!(memo.lookup(u64::MAX), Some(None));
+        assert_eq!(memo.lookup(top), Some(None));
+        // An extent cannot hold the top byte (its end is exclusive), so
+        // the top page never fills as mapped.
+        memo.invalidate(top, u64::MAX);
+        assert_eq!(memo.lookup(top), None);
+        memo.fill(
+            top,
+            Span::Extent {
+                base: top,
+                end: u64::MAX,
+                id: 1,
+            },
+        );
+        assert_eq!(memo.lookup(top), None);
+    }
+
+    #[test]
+    fn page_memo_invalidates_exactly_the_overlapped_pages() {
+        let mut memo = PageMemo::new();
+        let gap = Span::Gap {
+            lo: 0,
+            hi: 0xff_ffff,
+        };
+        for page in 0..16u64 {
+            memo.fill(page << 12, gap);
+        }
+        // A 16-byte extent straddling pages 3 and 4 clears both, and
+        // nothing else.
+        memo.invalidate(0x3ff8, 0x4008);
+        for page in 0..16u64 {
+            let want = (!matches!(page, 3 | 4)).then_some(None);
+            assert_eq!(memo.lookup(page << 12), want, "page {page}");
+        }
+        // A slot holding an aliasing page is left alone.
+        memo.invalidate(
+            0x5000 + (PAGE_SLOTS as u64) * 4096,
+            0x5001 + (PAGE_SLOTS as u64) * 4096,
+        );
+        assert_eq!(memo.lookup(0x5000), Some(None));
+        // An empty extent touches nothing.
+        memo.invalidate(0x6000, 0x6000);
+        assert_eq!(memo.lookup(0x6000), Some(None));
+    }
+
+    #[test]
+    fn page_memo_clears_every_slot_for_an_extent_of_all_slots_or_more() {
+        let gap = Span::Gap {
+            lo: 0,
+            hi: u64::MAX,
+        };
+        let pages = PAGE_SLOTS as u64;
+        let filled = || {
+            let mut memo = PageMemo::new();
+            for page in 0..pages {
+                memo.fill((page + 7 * pages) << 12, gap);
+            }
+            memo
+        };
+        // One page short of the table: the slot of the page just past
+        // the extent survives, every other one clears.
+        let mut memo = filled();
+        memo.invalidate((7 * pages) << 12, (8 * pages - 1) << 12);
+        assert_eq!(memo.lookup((8 * pages - 1) << 12), Some(None));
+        assert_eq!(memo.lookup((7 * pages) << 12), None);
+        // A whole table's worth of pages elsewhere in the address space
+        // clears every slot, aliased or not; so does a huge extent.
+        for (base, end) in [(0, pages << 12), (1 << 40, u64::MAX)] {
+            let mut memo = filled();
+            memo.invalidate(base, end);
+            for page in 0..pages {
+                assert_eq!(memo.lookup((page + 7 * pages) << 12), None);
+            }
+        }
+    }
+
     /// The satellite property test: randomized alloc/free/lookup
     /// interleavings cross-checked against a naive `BTreeMap` oracle,
     /// including lookups landing exactly on extent boundaries and in
@@ -635,6 +1020,19 @@ mod tests {
                         .next_back()
                         .and_then(|(&b, &(e, id))| (addr < e).then_some((b, e, id)));
                     assert_eq!(idx.resolve(addr), want, "resolve {addr:#x} at step {step}");
+                    let gap = || Span::Gap {
+                        lo: oracle
+                            .range(..=addr)
+                            .next_back()
+                            .map_or(0, |(_, &(e, _))| e),
+                        hi: oracle
+                            .range(addr + 1..)
+                            .next()
+                            .map_or(Addr::MAX, |(&b, _)| b - 1),
+                    };
+                    let span =
+                        want.map_or_else(gap, |(base, end, id)| Span::Extent { base, end, id });
+                    assert_eq!(idx.locate(addr), span, "locate {addr:#x} at step {step}");
                 }
                 assert_eq!(idx.len(), oracle.len());
             }

@@ -67,19 +67,23 @@ impl SmallRng {
     }
 
     /// Unbiased integer in `[0, bound)` by widening multiply with
-    /// rejection (Lemire's method). `bound` must be non-zero.
+    /// rejection (Lemire's nearly-divisionless method). `bound` must be
+    /// non-zero.
     #[inline]
     fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0, "empty range");
         // Reject the first `2^64 mod bound` values of the low product
-        // half so every output value is equally likely.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let m = u128::from(self.next_u64()) * u128::from(bound);
-            if m as u64 >= threshold {
-                return (m >> 64) as u64;
+        // half so every output value is equally likely. That threshold
+        // is below `bound`, so a low half at or above `bound` is
+        // accepted without computing it.
+        let mut m = u128::from(self.next_u64()) * u128::from(bound);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (m >> 64) as u64
     }
 }
 
@@ -201,6 +205,34 @@ mod tests {
             assert!(u < 7);
             let f = r.random_range(0.95f64..1.05);
             assert!((0.95..1.05).contains(&f));
+        }
+    }
+
+    /// `below` as it was before the nearly-divisionless form: the
+    /// threshold computed before every draw.
+    fn below_oracle(rng: &mut SmallRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(bound);
+            if m as u64 >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_the_threshold_first_oracle() {
+        let bounds = [1, 3, 7, 8, (1u64 << 32) + 1, u64::MAX, (1 << 63) + 1];
+        for seed in 0..16u64 {
+            for &bound in &bounds {
+                let mut a = SmallRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                for _ in 0..2_000 {
+                    assert_eq!(a.below(bound), below_oracle(&mut b, bound), "bound {bound}");
+                }
+                // Same draws consumed, so the streams stay in step.
+                assert_eq!(a, b, "seed {seed} bound {bound}");
+            }
         }
     }
 

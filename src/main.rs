@@ -30,13 +30,14 @@
 //!   --technique search:<n>                 n-way logical search (timeshared
 //!                                          if n exceeds --counters)
 //!   --misses <N>        run length in application misses  [default 1000000]
-//!   --counters <K>      physical PMU region counters      [default 10]
+//!   --counters <K>      physical PMU region counters, 1 to 64 [default 10]
 //!   --interval <C>      search interval in cycles         [default 25000000]
 //!   --paper-scale       use paper-scale phase durations
 //!   --aggregate         merge same-site heap blocks (sampling only)
-//!   --timeline <C>      record a miss timeline with C-cycle buckets
+//!   --timeline <C>      record a miss timeline with C-cycle buckets (C >= 1)
 //!   --top <N>           print at most N rows              [default 12]
 //!   --l1 <KiB>          put an L1 of that size in front of the cache
+//!                       (1 to 65536 KiB)
 //!   --search-log        print the search's per-iteration decisions
 //!   --csv <file>        write the report, costs and any timeline as CSV
 //!   --json <file>       write the full report (rows, costs, metrics) as JSON
@@ -62,8 +63,8 @@
 //! cargo run --release -- mcf --technique sampling:1000 --aggregate
 //! ```
 
-use cachescope::core::{Experiment, TechniqueConfig};
-use cachescope::sim::{Program, RunLimit};
+use cachescope::core::{Experiment, PmuConfig, TechniqueConfig};
+use cachescope::sim::{CacheConfig, Program, RunLimit, TimelineConfig};
 use cachescope::workloads::spec::{self, Scale};
 use cachescope::workloads::spec2000;
 
@@ -93,6 +94,15 @@ fn usage() -> ! {
          \x20      (streaming attribution daemon and its client)"
     );
     std::process::exit(2);
+}
+
+/// The value of `option`, or a usage error (exit 2) naming why it was
+/// refused.
+fn refuse<T>(option: &str, checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|why| {
+        eprintln!("{option}: {why}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_u64(s: &str, what: &str) -> u64 {
@@ -156,7 +166,7 @@ fn main() {
     let mut interval = 25_000_000u64;
     let mut scale = Scale::Test;
     let mut aggregate = false;
-    let mut timeline: Option<u64> = None;
+    let mut timeline: Option<TimelineConfig> = None;
     let mut top = 12usize;
     let mut record: Option<String> = None;
     let mut trace_format = cachescope::sim::TraceFormat::Text;
@@ -166,7 +176,7 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut show_metrics = false;
     let mut search_log = false;
-    let mut l1_kib: Option<u64> = None;
+    let mut l1: Option<CacheConfig> = None;
     let mut flamegraph_out: Option<String> = None;
     let mut spans_out: Option<String> = None;
     let mut timeline_out: Option<String> = None;
@@ -182,11 +192,18 @@ fn main() {
         match arg.as_str() {
             "--technique" => technique = value("--technique"),
             "--misses" => misses = parse_u64(&value("--misses"), "miss count"),
-            "--counters" => counters = parse_u64(&value("--counters"), "counters") as usize,
+            "--counters" => {
+                let n = parse_u64(&value("--counters"), "counters");
+                counters = usize::try_from(n).unwrap_or(usize::MAX);
+                refuse("--counters", PmuConfig::check_counters(counters));
+            }
             "--interval" => interval = parse_u64(&value("--interval"), "interval"),
             "--paper-scale" => scale = Scale::Paper,
             "--aggregate" => aggregate = true,
-            "--timeline" => timeline = Some(parse_u64(&value("--timeline"), "bucket width")),
+            "--timeline" => {
+                let width = parse_u64(&value("--timeline"), "bucket width");
+                timeline = Some(refuse("--timeline", TimelineConfig::new(width)));
+            }
             "--top" => top = parse_u64(&value("--top"), "row count") as usize,
             "--record" => record = Some(value("--record")),
             "--trace-format" => {
@@ -205,7 +222,10 @@ fn main() {
             "--trace-out" => trace_out = Some(value("--trace-out")),
             "--metrics" => show_metrics = true,
             "--search-log" => search_log = true,
-            "--l1" => l1_kib = Some(parse_u64(&value("--l1"), "L1 size (KiB)")),
+            "--l1" => {
+                let kib = parse_u64(&value("--l1"), "L1 size (KiB)");
+                l1 = Some(refuse("--l1", CacheConfig::l1_kib(kib)));
+            }
             "--flamegraph" if profile_mode => flamegraph_out = Some(value("--flamegraph")),
             "--spans-out" if profile_mode => spans_out = Some(value("--spans-out")),
             "--timeline-out" if profile_mode => timeline_out = Some(value("--timeline-out")),
@@ -259,19 +279,11 @@ fn main() {
         .counters(counters)
         .profile(profile_mode)
         .limit(RunLimit::AppMisses(misses));
-    if let Some(bucket) = timeline {
-        exp = exp.timeline(bucket);
+    if let Some(t) = timeline {
+        exp = exp.timeline(t.bucket_cycles);
     }
-    if let Some(kib) = l1_kib {
-        exp = exp.l1(cachescope::sim::CacheConfig {
-            size_bytes: (kib * 1024).next_power_of_two(),
-            line_bytes: 64,
-            assoc: 2,
-            hit_cycles: 1,
-            miss_penalty: 0,
-            writeback_penalty: 0,
-            policy: Default::default(),
-        });
+    if let Some(l1) = l1 {
+        exp = exp.l1(l1);
     }
     let mut report = exp.run();
 
@@ -405,6 +417,12 @@ fn main() {
             "engine.stepped_accesses",
             report.metrics.counter("engine.stepped_accesses"),
             report.stats.app.accesses,
+        );
+        println!(
+            "  {:<24} {} of {} application misses",
+            "engine.slow_resolves",
+            report.metrics.counter("engine.slow_resolves"),
+            report.stats.app.misses,
         );
         if let Some(path) = &flamegraph_out {
             std::fs::write(path, prof.collapsed()).unwrap_or_else(|e| {

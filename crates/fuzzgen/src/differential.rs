@@ -290,16 +290,19 @@ pub fn run_differential(
         scenarios.push((seed, scenario));
     }
 
+    // Cells run the budget the scenarios were generated with, which the
+    // static bounds assume; it can exceed the requested one.
+    let budget_refs = Scenario::budget_for(cfg.budget_refs);
     let mut spec = CampaignSpec::new("fuzz-differential", Scale::Test)
         .workloads(scenarios.iter().map(|(_, s)| s.name.clone()));
     for (level, faults) in &fault_levels() {
         for technique in TECHNIQUES {
-            let kind = technique_kind(technique, cfg.budget_refs).unwrap_or(TechniqueKind::None);
+            let kind = technique_kind(technique, budget_refs).unwrap_or(TechniqueKind::None);
             spec = spec.technique(
                 TechniqueSpec::new(
                     format!("{technique}@{level}"),
                     kind,
-                    LimitSpec::accesses(cfg.budget_refs),
+                    LimitSpec::accesses(budget_refs),
                 )
                 .counters(COUNTERS)
                 .faults(faults.clone()),
@@ -309,7 +312,7 @@ pub fn run_differential(
 
     let mut runner = CampaignRunner::new().jobs(cfg.jobs);
     if let Some(dir) = &cfg.cache_dir {
-        runner = runner.cache_dir(dir.clone());
+        runner = runner.cache_dir(dir).manifest_dir(dir.join("campaigns"));
     }
     let run = runner.run(&spec)?;
     if !run.is_complete() {
@@ -454,6 +457,30 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_under_the_floor_runs_the_raised_scenario_inside_its_bounds() {
+        let dir = std::env::temp_dir().join(format!(
+            "cachescope-fuzzgen-floor-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DifferentialConfig {
+            seed_base: 0,
+            seeds: 1,
+            budget_refs: 7,
+            jobs: Some(2),
+            cache_dir: Some(dir.clone()),
+        };
+        let report = run_differential(&cfg, &mut Obs::disabled()).expect("sweep runs");
+        assert_eq!(report.cells, 5 * 4);
+        assert!(
+            report.bounds_violations.is_empty(),
+            "cells must run the scenario's own budget: {:?}",
+            report.bounds_violations
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn tiny_sweep_runs_scores_every_cell_and_is_warm_on_rerun() {
         let dir = std::env::temp_dir().join("cachescope-fuzzgen-diff-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -482,6 +509,8 @@ mod tests {
         }
         let (hits, cells) = rerun_cache_stats(&cfg).expect("warm rerun");
         assert_eq!(hits, cells, "warm re-run must be all cache hits");
+        // The manifest lands beside the cache, not in the working tree.
+        assert!(dir.join("campaigns/fuzz-differential.json").is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -100,10 +100,11 @@ pub const CHUNK_CAPACITY: usize = 1024;
 /// densely: `pre_cycles[i]` holds the compute cycles charged immediately
 /// before `refs[i]` — after any marks at position `i` — and `pre_cycles`
 /// is either empty (unused) or exactly `refs.len()` long, with `0`
-/// meaning "no compute before this access". The native producers and
-/// the default [`Program::next_chunk`] adapter fuse every such pair, so
-/// a `Compute` mark is zero-cycle or not directly followed by an access
-/// in the same chunk.
+/// meaning "no compute before this access". [`EventChunk::push_compute_run`]
+/// records a whole run of pairs that share one compute cost. The native
+/// producers and the default [`Program::next_chunk`] adapter fuse every
+/// such pair, so a `Compute` mark is zero-cycle or not directly followed
+/// by an access in the same chunk.
 #[derive(Debug, Clone)]
 pub struct EventChunk {
     /// Dense access run, in program order.
@@ -111,7 +112,7 @@ pub struct EventChunk {
     /// Control events, as (index into the access run, event) pairs.
     pub marks: Vec<(u32, Event)>,
     /// Compute cycles charged immediately before the same-index access
-    /// (empty when no producer used [`EventChunk::push_compute_ref`]).
+    /// (empty when no producer fused a nonzero compute).
     pub pre_cycles: Vec<Cycle>,
     /// How many entries of `pre_cycles` are nonzero (distinct events).
     pre_count: usize,
@@ -198,6 +199,28 @@ impl EventChunk {
             self.pre_cycles.push(0);
         }
         self.refs.push(r);
+    }
+
+    /// Append a straight run of accesses, the ones `fill` pushes onto the
+    /// dense run, each preceded by the same `cycles` of compute:
+    /// `push_compute_ref(cycles, r)` for every `r`, with one `pre_cycles`
+    /// resize for the whole run in place of a branch per access. Caller
+    /// must ensure the run fits (two events per access when `cycles > 0`,
+    /// one otherwise).
+    #[inline]
+    pub fn push_compute_run(&mut self, cycles: Cycle, fill: impl FnOnce(&mut Vec<MemRef>)) {
+        let start = self.refs.len();
+        fill(&mut self.refs);
+        let end = self.refs.len();
+        if cycles > 0 {
+            // Lazily materialise the zeros for earlier plain accesses.
+            self.pre_cycles.resize(start, 0);
+            self.pre_cycles.resize(end, cycles);
+            self.pre_count += end - start;
+        } else if !self.pre_cycles.is_empty() {
+            self.pre_cycles.resize(end, 0);
+        }
+        debug_assert!(self.len() <= self.capacity, "run overflows the chunk");
     }
 
     /// Append one control event at the current position. Caller must
@@ -456,6 +479,31 @@ mod tests {
                 Event::Access(MemRef::read(0x20, 8)),
             ]
         );
+    }
+
+    #[test]
+    fn compute_run_equals_one_fused_pair_per_access() {
+        let r = |i: u64| MemRef::read(i * 64, 8);
+        // (compute, run length), with marks between the runs: zero-cycle
+        // runs before, between and after fused ones, and an empty run.
+        let runs: [(Cycle, u64); 6] = [(0, 2), (5, 3), (0, 1), (0, 0), (7, 2), (0, 2)];
+        let mut bulk = EventChunk::standard();
+        let mut single = EventChunk::standard();
+        let mut i = 0;
+        for (k, &(c, n)) in runs.iter().enumerate() {
+            bulk.push_mark(Event::Phase(k as u32));
+            single.push_mark(Event::Phase(k as u32));
+            bulk.push_compute_run(c, |refs| refs.extend((i..i + n).map(r)));
+            for j in i..i + n {
+                single.push_compute_ref(c, r(j));
+            }
+            i += n;
+        }
+        assert_eq!(bulk.refs, single.refs);
+        assert_eq!(bulk.pre_cycles, single.pre_cycles);
+        assert_eq!(bulk.len(), single.len());
+        assert_eq!(bulk.to_events(), single.to_events());
+        assert_eq!(bulk.len(), 6 + 10 + 5);
     }
 
     #[test]

@@ -470,6 +470,18 @@ impl SpecWorkload {
     pub fn num_phases(&self) -> usize {
         self.phases.len()
     }
+
+    /// Count `n` planned slots against the current phase, which they must
+    /// not overrun; at its end, move to the next phase and owe its marker.
+    #[inline]
+    fn advance(&mut self, n: u64) {
+        self.emitted_in_phase += n;
+        if self.emitted_in_phase >= self.phases[self.phase_idx].misses {
+            self.emitted_in_phase = 0;
+            self.phase_idx = (self.phase_idx + 1) % self.phases.len();
+            self.phase_marker_due = true;
+        }
+    }
 }
 
 impl Program for SpecWorkload {
@@ -497,13 +509,7 @@ impl Program for SpecWorkload {
         let phase = &mut self.phases[self.phase_idx];
         let target = phase.gen.next_object();
         let compute = phase.compute;
-
-        self.emitted_in_phase += 1;
-        if self.emitted_in_phase >= phase.misses {
-            self.emitted_in_phase = 0;
-            self.phase_idx = (self.phase_idx + 1) % self.phases.len();
-            self.phase_marker_due = true;
-        }
+        self.advance(1);
 
         if compute > 0 {
             self.pending_access = Some(target);
@@ -514,16 +520,18 @@ impl Program for SpecWorkload {
         }
     }
 
-    // Native chunk fill: the same state machine as `next_event` (pending
-    // allocs, then the deferred access of a compute/access pair, then a due
-    // phase marker, then the next planned slot), but pushing accesses
-    // straight into the dense run without wrapping them in `Event`, and
-    // fusing each compute/access pair into the chunk's dense `pre_cycles`
-    // side array. In the scalar stream nothing separates a `Compute` from
-    // its access and no RNG draw happens in between, so emitting the pair
-    // in one step keeps the flattened chunk — and the RNG call order —
-    // equal to the scalar stream bit for bit. The workload is infinite,
-    // so this always fills the chunk.
+    // Native chunk fill in straight runs. The head of the state machine
+    // (pending allocs, then the deferred access of a compute/access pair,
+    // then a due phase marker) takes one slot per event, as in
+    // `next_event`. Between those events the rest of the phase is a run of
+    // slots that differ only in their target and address, so it is filled
+    // in one loop with the phase, its compute and the cursors hoisted out,
+    // and each compute/access pair fused into the chunk's dense
+    // `pre_cycles` side array. In the scalar stream nothing separates a
+    // `Compute` from its access and no RNG draw happens in between, so
+    // emitting the pairs this way keeps the flattened chunk — and the RNG
+    // call order — equal to the scalar stream bit for bit. The workload is
+    // infinite, so this always fills the chunk.
     fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
         // A fused pair counts as two events; stop while two slots remain
         // so a pair never overflows the chunk's capacity.
@@ -544,18 +552,21 @@ impl Program for SpecWorkload {
             }
 
             let phase = &mut self.phases[self.phase_idx];
-            let target = phase.gen.next_object();
-            let compute = phase.compute;
-
-            self.emitted_in_phase += 1;
-            if self.emitted_in_phase >= phase.misses {
-                self.emitted_in_phase = 0;
-                self.phase_idx = (self.phase_idx + 1) % self.phases.len();
-                self.phase_marker_due = true;
-            }
-
-            let addr = self.cursors[target as usize].next_addr(&mut self.addr_rng);
-            buf.push_compute_ref(compute, MemRef::read(addr, 8));
+            // The slots that fit while two events of room remain, and no
+            // more than the phase has left.
+            let room = match phase.compute {
+                0 => buf.remaining() - 1,
+                _ => buf.remaining() / 2,
+            };
+            let left = phase.misses - self.emitted_in_phase;
+            let n = usize::try_from(left).map_or(room, |left| left.min(room));
+            let (gen, cursors, rng) = (&mut phase.gen, &mut self.cursors, &mut self.addr_rng);
+            buf.push_compute_run(phase.compute, |refs| {
+                gen.extend_run(n, refs, |target| {
+                    MemRef::read(cursors[target as usize].next_addr(rng), 8)
+                })
+            });
+            self.advance(n as u64);
         }
         if buf.is_empty() {
             // Capacity-1 chunk: emit a single scalar event so a live

@@ -494,11 +494,18 @@ impl Scenario {
         Scenario::from_json(&json::parse(text)?)
     }
 
+    /// The budget a scenario generated for `budget_refs` runs: budgets
+    /// below 1000 refs are raised to 1000 so every scenario exercises at
+    /// least a few sampling intervals.
+    pub fn budget_for(budget_refs: u64) -> u64 {
+        budget_refs.max(1_000)
+    }
+
     /// Compose a valid adversarial scenario, fully determined by
-    /// `(seed, budget_refs)`. Budgets below 1000 refs are raised to 1000
-    /// so every scenario exercises at least a few sampling intervals.
+    /// `(seed, budget_refs)`, whose budget is
+    /// [`Scenario::budget_for`]`(budget_refs)`.
     pub fn generate(seed: u64, budget_refs: u64) -> Scenario {
-        let budget = budget_refs.max(1_000);
+        let budget = Scenario::budget_for(budget_refs);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xF0CC_5EED_0000_0001);
         let mut targets: Vec<TargetDef> = Vec::new();
         // Fixed-address pileups carve disjoint 8 MiB arenas so several

@@ -25,8 +25,10 @@ use crate::wrr::SmoothWrr;
 #[derive(Debug, Clone)]
 pub enum PatternGen {
     Stochastic {
-        /// Cumulative weights paired with object indices.
-        cdf: Vec<(f64, u16)>,
+        /// Cumulative weights paired with object indices, each weight `c`
+        /// held as `floor(c · 2⁵³)` so a 53-bit draw compares as an
+        /// integer.
+        cdf: Vec<(u64, u16)>,
         rng: SmallRng,
     },
     Periodic {
@@ -41,25 +43,11 @@ impl PatternGen {
     /// relative weight (need not be normalised; zero-weight entries are
     /// allowed and never selected).
     pub fn stochastic(weights: &[(u16, f64)], seed: u64) -> Self {
-        let total: f64 = weights.iter().map(|&(_, w)| w).sum();
-        // check:allow(weights and periods are workload constants)
-        assert!(total > 0.0, "at least one weight must be positive");
-        let mut acc = 0.0;
-        let mut cdf = Vec::with_capacity(weights.len());
-        for &(idx, w) in weights {
-            // check:allow(weights and periods are workload constants)
-            assert!(w >= 0.0, "negative weight for object {idx}");
-            if w > 0.0 {
-                acc += w / total;
-                cdf.push((acc, idx));
-            }
-        }
-        // Guard against floating-point shortfall at the top of the CDF.
-        if let Some(last) = cdf.last_mut() {
-            last.0 = 1.0;
-        }
         PatternGen::Stochastic {
-            cdf,
+            cdf: cumulative(weights)
+                .into_iter()
+                .map(|(c, idx)| ((c * UNIT).floor() as u64, idx))
+                .collect(),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -156,11 +144,7 @@ impl PatternGen {
     #[inline]
     pub fn next_object(&mut self) -> u16 {
         match self {
-            PatternGen::Stochastic { cdf, rng } => {
-                let x: f64 = rng.random();
-                let i = cdf.partition_point(|&(c, _)| c < x);
-                cdf[i.min(cdf.len() - 1)].1
-            }
+            PatternGen::Stochastic { cdf, rng } => Self::pick(cdf, rng.next_u64()),
             PatternGen::Periodic { seq, pos } => {
                 let v = seq[*pos];
                 *pos += 1;
@@ -171,6 +155,72 @@ impl PatternGen {
             }
         }
     }
+
+    /// Push `f` of each target of the next `n` planned misses onto `out`:
+    /// the targets `n` calls of [`PatternGen::next_object`] return. The
+    /// variant is matched once per run, and the stochastic RNG is copied
+    /// into a local for the run, which the compiler can keep in registers;
+    /// a generator reached through the phase table is otherwise loaded and
+    /// stored at every draw, since the writes to `out` might alias it.
+    #[inline]
+    pub(crate) fn extend_run<T>(
+        &mut self,
+        n: usize,
+        out: &mut Vec<T>,
+        mut f: impl FnMut(u16) -> T,
+    ) {
+        match self {
+            PatternGen::Stochastic { cdf, rng } => {
+                let mut draws = rng.clone();
+                out.extend((0..n).map(|_| f(Self::pick(cdf, draws.next_u64()))));
+                *rng = draws;
+            }
+            PatternGen::Periodic { .. } => out.extend((0..n).map(|_| f(self.next_object()))),
+        }
+    }
+
+    /// The object a stochastic draw selects: the first CDF entry `c` with
+    /// `c >= x`, where `x = (draw >> 11) · 2⁻⁵³` is the `[0, 1)` float
+    /// `SmallRng::random::<f64>` makes of the same draw. That index is the
+    /// count of entries below `x`, because the CDF is sorted, and it is
+    /// counted without a branch, where a binary search mispredicts on
+    /// random input. The integer compare is exact: `x` is `k · 2⁻⁵³` for
+    /// the integer `k = draw >> 11`, so `c < x` holds exactly when
+    /// `floor(c · 2⁵³) < k`. The last entry is 1.0, above every draw, so
+    /// the count is at most the last index.
+    #[inline]
+    fn pick(cdf: &[(u64, u16)], draw: u64) -> u16 {
+        let k = draw >> 11;
+        let i = cdf.iter().filter(|&&(c, _)| c < k).count();
+        cdf[i.min(cdf.len() - 1)].1
+    }
+}
+
+/// `2⁵³`: one unit of a cumulative weight in [`PatternGen::pick`]'s
+/// integer scale.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// The normalised cumulative weights of the nonzero entries of
+/// `weights`, paired with their object indices; the last is exactly 1.0.
+fn cumulative(weights: &[(u16, f64)]) -> Vec<(f64, u16)> {
+    let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+    // check:allow(weights and periods are workload constants)
+    assert!(total > 0.0, "at least one weight must be positive");
+    let mut acc = 0.0;
+    let mut cdf = Vec::with_capacity(weights.len());
+    for &(idx, w) in weights {
+        // check:allow(weights and periods are workload constants)
+        assert!(w >= 0.0, "negative weight for object {idx}");
+        if w > 0.0 {
+            acc += w / total;
+            cdf.push((acc, idx));
+        }
+    }
+    // Guard against floating-point shortfall at the top of the CDF.
+    if let Some(last) = cdf.last_mut() {
+        last.0 = 1.0;
+    }
+    cdf
 }
 
 #[cfg(test)]
@@ -211,6 +261,46 @@ mod tests {
         let mut g = PatternGen::stochastic(&[(0, 0.0), (1, 1.0)], 3);
         for _ in 0..1000 {
             assert_eq!(g.next_object(), 1);
+        }
+    }
+
+    /// `next_object` as it was before the branchless pick: a binary
+    /// search of the float CDF for the first entry at or above the draw.
+    fn partition_point_oracle(cdf: &[(f64, u16)], x: f64) -> u16 {
+        let i = cdf.partition_point(|&(c, _)| c < x);
+        cdf[i.min(cdf.len() - 1)].1
+    }
+
+    #[test]
+    fn pick_matches_the_partition_point_oracle() {
+        let mgrid = vec![(0u16, 40.8), (1, 40.4), (2, 18.8)];
+        let zeros = vec![(0u16, 0.0), (1, 2.5), (2, 0.0), (3, 1.0), (4, 0.0)];
+        let one = vec![(9u16, 3.0)];
+        let wide: Vec<(u16, f64)> = (0..13u16).map(|i| (i, 1.0 + f64::from(i) * 0.37)).collect();
+        let tiny = vec![(0u16, 1.0), (1, 1e-12), (2, 1.0)];
+        for (s, weights) in [mgrid, zeros, one, wide, tiny].iter().enumerate() {
+            let cdf = cumulative(weights);
+            let mut gen = PatternGen::stochastic(weights, 0xC0DE + s as u64);
+            let mut draws = SmallRng::seed_from_u64(0xC0DE + s as u64);
+            for n in 0..100_000 {
+                let x: f64 = draws.random();
+                let want = partition_point_oracle(&cdf, x);
+                assert_eq!(gen.next_object(), want, "weights {s}, draw {n}");
+            }
+            // Random draws never land on an entry, so also try the draws
+            // at and next to each entry's integer threshold.
+            let PatternGen::Stochastic { cdf: ints, .. } = &gen else {
+                unreachable!()
+            };
+            for &(c, _) in &cdf {
+                let t = (c * UNIT).floor() as u64;
+                for k in [t.saturating_sub(1), t, t + 1] {
+                    let k = k.min((1 << 53) - 1);
+                    let x = k as f64 / UNIT;
+                    let want = partition_point_oracle(&cdf, x);
+                    assert_eq!(PatternGen::pick(ints, k << 11), want, "weights {s}, k {k}");
+                }
+            }
         }
     }
 

@@ -56,16 +56,8 @@ pub struct Mcf {
     compact: bool,
     /// Free slot bases within the compact arena (LIFO).
     free_slots: Vec<u64>,
-    // Static arrays.
-    nodes_base: u64,
-    dummy_base: u64,
-    stack_base: u64,
-    arcs_base: u64,
-    // Sequential sweep cursors (line offsets).
-    nodes_cur: u64,
-    dummy_cur: u64,
-    stack_cur: u64,
-    arcs_cur: u64,
+    /// The swept arrays in class order: arcs, nodes, dummy_arcs, stack.
+    sweeps: [Sweep; 4],
     // Churning pool: live block bases, oldest first.
     live: VecDeque<u64>,
     /// Bump cursor for fresh block addresses within the churn window.
@@ -73,16 +65,50 @@ pub struct Mcf {
     churn_lo: u64,
     churn_hi: u64,
     churn_period: u64,
+    /// Planned slots left up to and including the next churn.
+    until_churn: u64,
     rng: SmallRng,
     pending: VecDeque<Event>,
-    planned: u64,
-    access_next: Option<u64>,
+}
+
+/// One sequentially swept array: base, size and line cursor.
+#[derive(Debug, Clone)]
+struct Sweep {
+    base: u64,
+    size: u64,
+    cur: u64,
+}
+
+impl Sweep {
+    #[inline]
+    fn next(&mut self) -> u64 {
+        let a = self.base + self.cur;
+        self.cur += LINE;
+        if self.cur >= self.size {
+            self.cur = 0;
+        }
+        a
+    }
 }
 
 const NODES_SIZE: u64 = 4 * MIB;
 const DUMMY_SIZE: u64 = 2 * MIB;
 const STACK_SIZE: u64 = 4 * MIB;
 const ARCS_SIZE: u64 = 16 * MIB;
+
+/// Where each class after the first begins: arcs, tree node, nodes,
+/// dummy_arcs, stack — the cumulative shares of [`ACTUAL`].
+const CLASS_AT: [f64; 4] = [0.55, 0.75, 0.90, 0.94];
+
+/// The class that picks a live tree node; every other class sweeps.
+const TREE: usize = 1;
+
+/// The class of a uniform draw `x`: the count of thresholds at or below
+/// it, with no branch to mispredict.
+#[inline]
+fn class(x: f64) -> usize {
+    CLASS_AT.iter().filter(|&&t| t <= x).count()
+}
 
 impl Mcf {
     pub fn new(scale: Scale) -> Self {
@@ -139,36 +165,26 @@ impl Mcf {
             Vec::new()
         };
 
+        let churn_period = scale.misses(CHURN_PERIOD).min(CHURN_PERIOD);
+        let sweep = |base, size| Sweep { base, size, cur: 0 };
         Mcf {
             compact,
             free_slots,
-            nodes_base,
-            dummy_base,
-            stack_base,
-            arcs_base,
-            nodes_cur: 0,
-            dummy_cur: 0,
-            stack_cur: 0,
-            arcs_cur: 0,
+            sweeps: [
+                sweep(arcs_base, ARCS_SIZE),
+                sweep(nodes_base, NODES_SIZE),
+                sweep(dummy_base, DUMMY_SIZE),
+                sweep(stack_base, STACK_SIZE),
+            ],
             live,
             next_block,
             churn_lo,
             churn_hi,
-            churn_period: scale.misses(CHURN_PERIOD).min(CHURN_PERIOD),
+            churn_period,
+            until_churn: churn_period,
             rng: SmallRng::seed_from_u64(0x3CF0),
             pending,
-            planned: 0,
-            access_next: None,
         }
-    }
-
-    fn sweep(base: u64, cur: &mut u64, size: u64) -> u64 {
-        let a = base + *cur;
-        *cur += LINE;
-        if *cur >= size {
-            *cur = 0;
-        }
-        a
     }
 
     fn churn(&mut self) {
@@ -208,22 +224,30 @@ impl Mcf {
         self.next_block += NODE_BYTES;
     }
 
+    /// One planned slot, shared by `next_event` and `next_chunk`: count
+    /// down to the next churn, which runs *before* this access is planned
+    /// and queues its Free/Alloc behind it, then plan the access.
+    #[inline]
+    fn slot(&mut self) -> MemRef {
+        self.until_churn -= 1;
+        if self.until_churn == 0 {
+            self.until_churn = self.churn_period;
+            self.churn();
+        }
+        MemRef::read(self.plan_access(), 8)
+    }
+
+    /// The address of one planned access. Only a tree node, a random line
+    /// of a random live block (pointer chasing), draws again.
+    #[inline]
     fn plan_access(&mut self) -> u64 {
-        let x: f64 = self.rng.random();
-        if x < 0.55 {
-            Self::sweep(self.arcs_base, &mut self.arcs_cur, ARCS_SIZE)
-        } else if x < 0.75 {
-            // A random line of a random live tree node (pointer chasing).
+        let class = class(self.rng.random());
+        if class == TREE {
             let block = self.live[self.rng.random_range(0..self.live.len())];
             let line = self.rng.random_range(0..NODE_BYTES / LINE);
-            block + line * LINE
-        } else if x < 0.90 {
-            Self::sweep(self.nodes_base, &mut self.nodes_cur, NODES_SIZE)
-        } else if x < 0.94 {
-            Self::sweep(self.dummy_base, &mut self.dummy_cur, DUMMY_SIZE)
-        } else {
-            Self::sweep(self.stack_base, &mut self.stack_cur, STACK_SIZE)
+            return block + line * LINE;
         }
+        self.sweeps[class - usize::from(class > TREE)].next()
     }
 }
 
@@ -233,9 +257,10 @@ impl Program for Mcf {
     }
 
     fn static_objects(&self) -> Vec<ObjectDecl> {
+        let [_, nodes, dummy, _] = &self.sweeps;
         vec![
-            ObjectDecl::global("nodes", self.nodes_base, NODES_SIZE),
-            ObjectDecl::global("dummy_arcs", self.dummy_base, DUMMY_SIZE),
+            ObjectDecl::global("nodes", nodes.base, nodes.size),
+            ObjectDecl::global("dummy_arcs", dummy.base, dummy.size),
         ]
     }
 
@@ -243,42 +268,25 @@ impl Program for Mcf {
         if let Some(ev) = self.pending.pop_front() {
             return Some(ev);
         }
-        if let Some(addr) = self.access_next.take() {
-            return Some(Event::Access(MemRef::read(addr, 8)));
-        }
-        self.planned += 1;
-        if self.planned.is_multiple_of(self.churn_period) {
-            self.churn();
-        }
-        let addr = self.plan_access();
         // mcf is memory-bound: no compute between accesses.
-        self.access_next = None;
-        Some(Event::Access(MemRef::read(addr, 8)))
+        Some(Event::Access(self.slot()))
     }
 
-    // Native chunk fill: identical per-slot logic to `next_event` (drain
-    // pending allocator events, then plan one access, churning every
-    // `churn_period` planned misses *before* the access is planned), with
-    // accesses pushed straight into the dense run. The churn's Free/Alloc
-    // land in `pending` and are emitted before the following access —
-    // exactly the scalar interleaving. mcf never terminates, so the chunk
-    // always fills.
+    // Native chunk fill in straight runs: drain pending allocator events
+    // one slot each, then fill a run of planned slots that ends at the
+    // chunk's end or at the next churn, whichever comes first. The churn
+    // slot's Free/Alloc land in `pending` and are emitted before the
+    // following access — exactly the scalar interleaving. mcf never
+    // terminates, so the chunk always fills.
     fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
         while !buf.is_full() {
             if let Some(ev) = self.pending.pop_front() {
                 buf.push_event(ev);
                 continue;
             }
-            if let Some(addr) = self.access_next.take() {
-                buf.push_ref(MemRef::read(addr, 8));
-                continue;
-            }
-            self.planned += 1;
-            if self.planned.is_multiple_of(self.churn_period) {
-                self.churn();
-            }
-            let addr = self.plan_access();
-            buf.push_ref(MemRef::read(addr, 8));
+            let until_churn = usize::try_from(self.until_churn).unwrap_or(usize::MAX);
+            let n = buf.remaining().min(until_churn);
+            buf.push_compute_run(0, |refs| refs.extend((0..n).map(|_| self.slot())));
         }
         buf.len()
     }
@@ -354,6 +362,60 @@ mod tests {
         let mut b = mcf(Scale::Test);
         for _ in 0..50_000 {
             assert_eq!(a.next_event(), b.next_event());
+        }
+    }
+
+    /// The class the five-way `if x < …` chain picked before the count.
+    fn chain_class(x: f64) -> usize {
+        if x < 0.55 {
+            0
+        } else if x < 0.75 {
+            1
+        } else if x < 0.90 {
+            2
+        } else if x < 0.94 {
+            3
+        } else {
+            4
+        }
+    }
+
+    #[test]
+    fn class_count_matches_the_threshold_chain() {
+        let mut rng = SmallRng::seed_from_u64(0xC1A55);
+        for _ in 0..100_000 {
+            let x: f64 = rng.random();
+            assert_eq!(class(x), chain_class(x), "x = {x}");
+        }
+        for t in CLASS_AT {
+            for x in [t.next_down(), t, t.next_up()] {
+                assert_eq!(class(x), chain_class(x), "x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn churn_follows_every_churn_period_th_access() {
+        // Scale::Test churns every 1,000 planned accesses, before the
+        // access is planned; its Free and Alloc trail that access.
+        let mut w = mcf(Scale::Test);
+        let (mut accesses, mut churns) = (0u64, 0u64);
+        let mut last = None;
+        while churns < 5 {
+            let ev = w.next_event().expect("mcf never ends");
+            match &ev {
+                Event::Access(_) => accesses += 1,
+                Event::Free { .. } => {
+                    churns += 1;
+                    assert_eq!(accesses, churns * 1_000, "churn {churns}");
+                    assert!(matches!(last, Some(Event::Access(_))));
+                }
+                Event::Alloc { .. } if accesses > 0 => {
+                    assert!(matches!(last, Some(Event::Free { .. })));
+                }
+                _ => {}
+            }
+            last = Some(ev);
         }
     }
 

@@ -306,6 +306,7 @@ mod tests {
         for name in [
             "engine.run",
             "engine.chunk",
+            "engine.control",
             "engine.resolve",
             "engine.deliver",
         ] {
@@ -319,10 +320,13 @@ mod tests {
         assert_eq!(plain.stats.app, profiled.stats.app);
         assert_eq!(plain.stats.cycles, profiled.stats.cycles);
         assert_eq!(plain.stats.interrupts, profiled.stats.interrupts);
-        // The chunk-latency histogram exists only under profiling, so
-        // unprofiled metric snapshots stay byte-identical.
-        assert!(profiled.metrics.histogram("engine.chunk_ns").is_some());
-        assert!(plain.metrics.histogram("engine.chunk_ns").is_none());
+        // The chunk- and control-event latency histograms exist only
+        // under profiling, so unprofiled metric snapshots stay
+        // byte-identical.
+        for name in ["engine.chunk_ns", "engine.control_ns"] {
+            assert!(profiled.metrics.histogram(name).is_some(), "{name}");
+            assert!(plain.metrics.histogram(name).is_none(), "{name}");
+        }
         // So does the stepped-access count. Sampling steps about one
         // access per interrupt and runs the rest in bulk.
         let stepped = profiled.metrics.counter("engine.stepped_accesses");

@@ -30,13 +30,13 @@ pub mod trace;
 
 pub use map::ObjectMap;
 pub use object::{MemoryObject, ObjectId};
-pub use rbtree::{ArenaFull, RbTree};
+pub use rbtree::{RbTree, Refused};
 pub use symtab::SymTab;
 pub use trace::AccessTrace;
 
-// The shared epoch-versioned extent index (defined in `cachescope-sim`
-// so the engine's ground truth can use it too) is re-exported here as
-// the canonical resolve structure behind [`SymTab`] and [`ObjectMap`].
+// The shared extent index, refusal and memo (in `cachescope-sim`, so
+// ground truth uses them too), behind [`SymTab`], [`RbTree::insert`]
+// and [`ObjectMap::lookup`].
 pub use cachescope_sim::{EpochIndex, ExtentError, ExtentMemo};
 
 /// A simulated (virtual) memory address.

@@ -10,7 +10,7 @@
 //!   the extents of the regions each time they are split so that objects
 //!   do not span region boundaries", section 2.2).
 
-use cachescope_sim::{extent_of, AddressSpace, EpochIndex, ExtentMemo, ObjectDecl, ObjectKind};
+use cachescope_sim::{extent_of, AddressSpace, ExtentMemo, ObjectDecl, ObjectKind};
 
 use crate::object::{MemoryObject, ObjectId};
 use crate::rbtree::RbTree;
@@ -29,14 +29,11 @@ pub struct ObjectMap {
     coalesce_sites: bool,
     /// Live block count per object id (used to retire coalesced sites).
     live_blocks: Vec<u32>,
-    /// The live heap blocks, kept in lock-step with the tree. It is the
-    /// gate: a block goes into the tree only once the shared extent rule
-    /// accepts it here. Its epoch moves exactly when the tree does, so
-    /// it versions the memo too, and extent queries answer from it in
-    /// O(log n) instead of walking every tree node.
-    live_heap: EpochIndex,
+    /// Committed heap-tree inserts and removes: the epoch that tags
+    /// `memo` entries.
+    mutations: u64,
     /// Recent successful lookups and the walks they made (see
-    /// [`ObjectMap::lookup`]), tagged with `live_heap`'s epoch.
+    /// [`ObjectMap::lookup`]), tagged with `mutations`.
     memo: ExtentMemo<(ObjectId, AccessTrace)>,
     /// See [`ObjectMap::dropped_blocks`].
     dropped_blocks: u64,
@@ -92,7 +89,7 @@ impl ObjectMap {
             objects,
             coalesce_sites,
             live_blocks,
-            live_heap: EpochIndex::new(),
+            mutations: 0,
             memo: ExtentMemo::default(),
             dropped_blocks: 0,
         }
@@ -123,9 +120,9 @@ impl ObjectMap {
     /// With site coalescing enabled, a named block that touches (or lies
     /// inside) the extent of an existing live site of the same name joins
     /// that site's logical object instead of creating a new one. A block
-    /// the extent rule refuses, or one past the arena cap, is dropped: it
-    /// costs no tree traffic, and a new object made for it is retired at
-    /// once.
+    /// the tree refuses (by the shared extent rule, or at its arena cap)
+    /// is dropped: it costs no tree traffic, and a new object made for it
+    /// is retired at once.
     pub fn on_alloc(
         &mut self,
         base: Addr,
@@ -160,12 +157,8 @@ impl ObjectMap {
             self.objects.len() - 1
         });
         let id = self.objects[i].id;
-        // Vet first, commit last: the tree can still refuse the block
-        // (arena cap), so `live_heap` takes it only after the tree has.
-        let tracked = self.live_heap.check(base, end).is_ok()
-            && self.heap.insert(base, end, id, trace).is_ok();
-        if tracked {
-            let _ = self.live_heap.insert(base, end, id.0);
+        if self.heap.insert(base, end, id, trace).is_ok() {
+            self.mutations += 1;
             let o = &mut self.objects[i];
             let new_base = o.base.min(base);
             let new_end = o.end().max(end);
@@ -187,7 +180,7 @@ impl ObjectMap {
     /// live until its last block is freed.
     pub fn on_free(&mut self, base: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
         let (_, id) = self.heap.remove(base, trace)?;
-        self.live_heap.remove(base);
+        self.mutations += 1;
         let i = id.index();
         self.live_blocks[i] = self.live_blocks[i].saturating_sub(1);
         if self.live_blocks[i] == 0 {
@@ -207,10 +200,10 @@ impl ObjectMap {
     /// extents contain no other extent's boundary, so every comparison
     /// resolves identically), so a repeat hit replays the saved walk and
     /// records exactly the accesses a re-walk would. Every change to the
-    /// heap moves `live_heap`'s epoch, which invalidates all memo entries
-    /// at once.
+    /// heap moves the mutation count that tags the entries, which
+    /// invalidates all of them at once.
     pub fn lookup(&mut self, addr: Addr, trace: &mut AccessTrace) -> Option<ObjectId> {
-        let epoch = self.live_heap.epoch();
+        let epoch = self.mutations;
         if let Some((id, walk)) = self.memo.get(addr, epoch) {
             trace.reads.extend_from_slice(&walk.reads);
             trace.writes.extend_from_slice(&walk.writes);
@@ -230,12 +223,11 @@ impl ObjectMap {
         Some(id)
     }
 
-    /// The smallest base and largest end over all *live* objects.
-    ///
-    /// Both structures answer from their extent index in O(log n); the
-    /// tree is not walked.
+    /// The smallest base and largest end over all *live* objects, in
+    /// O(log n): the symbol table's ends, and the heap tree's leftmost
+    /// base and rightmost end.
     pub fn extent(&self) -> Option<(Addr, Addr)> {
-        let (lo, hi) = [self.symtab.extent(), self.live_heap.extent()]
+        let (lo, hi) = [self.symtab.extent(), self.heap.extent()]
             .into_iter()
             .flatten()
             .fold((Addr::MAX, 0), |(lo, hi), (b, e)| (lo.min(b), hi.max(e)));
@@ -661,10 +653,9 @@ mod tests {
         let mut m = ObjectMap::with_site_coalescing(&decls(), &mut AddressSpace::new(64));
         let heap = 0x1_4100_0000u64;
         let live = m.on_alloc(heap, 0x1000, Some("node"), &mut t());
-        let epoch = m.live_heap.epoch();
+        let epoch = m.mutations;
         // Zero size at a live base, an overlap, a wrap, and an overlap
-        // that names the site: the extent rule refuses each before the
-        // tree sees it.
+        // that names the site: the tree refuses each and records nothing.
         for (base, size, name) in [
             (heap, 0, None),
             (heap + 0x800, 0x1000, None),
@@ -680,10 +671,90 @@ mod tests {
             assert_eq!(m.object(id).live, id == live, "{base:#x}+{size:#x}");
         }
         assert_eq!(m.dropped_blocks(), 4);
-        assert_eq!(m.live_heap.epoch(), epoch, "memo tags did not move");
+        assert_eq!(m.mutations, epoch, "memo tags did not move");
         assert_eq!(m.object(live).size, 0x1000, "the site did not grow");
         assert_eq!(m.lookup(heap + 0x800, &mut t()), Some(live));
         assert_eq!(m.extent(), Some((0x1000_0000, heap + 0x1000)));
+
+        // The tree's own extent rule against the shared index's, under
+        // seeded alloc/free/lookup churn over a small slot universe, so
+        // overlaps, duplicate bases, empty and inverted blocks and reuse
+        // are all common. `RbTree::insert` must accept and refuse exactly
+        // what `EpochIndex::check` does on the same live set, with the
+        // same error. An accepted block records what inserting it into a
+        // tree that only ever saw vetted blocks records (check, then
+        // insert), starting with the descent a lookup of its base reads;
+        // a refused one leaves the trace as it was.
+        use crate::rbtree::Refused;
+        use cachescope_sim::rng::SmallRng;
+        use cachescope_sim::EpochIndex;
+
+        let slot = |s: u64| 0x4_0000 + s * 0x100;
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(0x7EE5 ^ seed);
+            let mut tree = RbTree::new(0x7_0000_0000);
+            let mut vetted = RbTree::new(0x7_0000_0000);
+            let mut index = EpochIndex::new();
+            let (mut accepted, mut refused) = (0u32, 0u32);
+            for step in 0..6_000u32 {
+                match rng.random_range(0u64..10) {
+                    0..=4 => {
+                        let s = rng.random_range(0u64..64);
+                        let (base, end) = match rng.random_range(0u64..10) {
+                            0 => (slot(s), slot(s)),
+                            1 => (slot(s + 1), slot(s) + 8),
+                            2 | 3 => (slot(s) + 0x80, slot(s + rng.random_range(1u64..4))),
+                            _ => (slot(s), slot(s + rng.random_range(1u64..4))),
+                        };
+                        let id = ObjectId(step);
+                        let mut tr = t();
+                        tr.read(1);
+                        tr.write(2);
+                        let mut descent = t();
+                        let _ = tree.lookup(base, &mut descent);
+                        match (index.check(base, end), tree.insert(base, end, id, &mut tr)) {
+                            (Ok(()), Ok(())) => {
+                                let mut want = t();
+                                vetted.insert(base, end, id, &mut want).unwrap();
+                                assert_eq!(tr.reads[1..], want.reads[..], "step {step}");
+                                assert_eq!(tr.writes[1..], want.writes[..], "step {step}");
+                                assert!(want.reads.starts_with(&descent.reads), "step {step}");
+                                index.insert(base, end, step).unwrap();
+                                accepted += 1;
+                            }
+                            (Err(want), Err(Refused::Extent(got))) => {
+                                assert_eq!(got, want, "step {step}");
+                                assert_eq!((tr.reads, tr.writes), (vec![1], vec![2]));
+                                refused += 1;
+                            }
+                            (want, got) => {
+                                panic!("{base:#x}..{end:#x} at step {step}: {want:?} vs {got:?}")
+                            }
+                        }
+                    }
+                    5..=7 => {
+                        // Mostly a live base, else a slot (maybe dead).
+                        let base = match index.iter().nth(rng.random_range(0..index.len() + 2)) {
+                            Some((b, _, _)) => b,
+                            None => slot(rng.random_range(0u64..68)),
+                        };
+                        let got = tree.remove(base, &mut t());
+                        assert_eq!(got.map(|(e, id)| (e, id.0)), index.remove(base));
+                        assert_eq!(got, vetted.remove(base, &mut t()));
+                    }
+                    _ => {
+                        let addr = slot(rng.random_range(0u64..68)) + rng.random_range(0u64..0x100);
+                        let got = tree.lookup(addr, &mut t());
+                        let want = index.resolve(addr);
+                        assert_eq!(got.map(|(b, e, id)| (b, e, id.0)), want, "{addr:#x}");
+                    }
+                }
+                assert_eq!(tree.len(), index.len());
+                assert_eq!(tree.extent(), index.extent(), "step {step}");
+            }
+            tree.validate();
+            assert!(accepted > 1_000 && refused > 1_000, "{accepted} {refused}");
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! [`AccessTrace`], so the caller can replay that traffic through the
 //! simulated cache.
 
+use cachescope_sim::ExtentError;
+
 use crate::object::ObjectId;
 use crate::trace::AccessTrace;
 use crate::Addr;
@@ -33,28 +35,18 @@ const SEG_BYTES: u64 = SEG_NODES as u64 * NODE_BYTES;
 /// segment.
 const DEFAULT_MAX_SEGMENTS: u32 = 32;
 
-/// The node arena is at its segment cap: the tree cannot register
-/// another live block. Typed so instrumentation can degrade (drop the
-/// block, keep measuring) instead of aborting.
+/// Why [`RbTree::insert`] refused a block. Either way the tree and the
+/// trace are left as they were, so instrumentation can drop the block
+/// and keep measuring instead of aborting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaFull {
-    /// Live blocks at the time of rejection.
-    pub live_blocks: usize,
-    /// Hard node capacity (sentinel excluded).
-    pub capacity: usize,
+pub enum Refused {
+    /// The shared extent rule refused it: empty, wrapping, or
+    /// overlapping a live block (the lowest such is named).
+    Extent(ExtentError),
+    /// The node arena is at its segment cap: `live_blocks` live of a
+    /// hard node `capacity` (sentinel excluded).
+    ArenaFull { live_blocks: usize, capacity: usize },
 }
-
-impl std::fmt::Display for ArenaFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "heap-tree arena full: {} live blocks at capacity {}",
-            self.live_blocks, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for ArenaFull {}
 
 const NIL: u32 = 0;
 
@@ -235,41 +227,42 @@ impl RbTree {
         self.nm(x).parent = y;
     }
 
-    /// Insert the block `[base, end)` with object id `id`.
-    ///
-    /// Returns [`ArenaFull`] — before touching the tree or the trace —
-    /// when every node under the segment cap is live. Panics on an empty
-    /// block or a duplicate base: invariants, because
-    /// [`crate::ObjectMap`] vets every block through the shared extent
-    /// rule first.
+    /// Insert the block `[base, end)` with object id `id`, if the shared
+    /// extent rule ([`cachescope_sim::admit`]) lets it go live. The
+    /// descent to the new leaf passes both live blocks beside it, the
+    /// ones the rule reads. A refusal, or [`Refused::ArenaFull`] when
+    /// every node under the segment cap is live, leaves the tree as it
+    /// was and the trace as it found it.
     pub fn insert(
         &mut self,
         base: Addr,
         end: Addr,
         id: ObjectId,
         trace: &mut AccessTrace,
-    ) -> Result<(), ArenaFull> {
-        // check:allow(ObjectMap vets every block through the extent rule first)
-        assert!(base < end, "empty block [{base:#x}, {end:#x})");
+    ) -> Result<(), Refused> {
         if self.free.is_empty() && self.nodes.len() >= (self.max_segments as usize) << SEG_SHIFT {
-            return Err(ArenaFull {
+            return Err(Refused::ArenaFull {
                 live_blocks: self.len,
                 capacity: self.capacity(),
             });
         }
+        let traced = trace.reads.len();
+        let (mut below, mut above) = (NIL, NIL);
         let mut parent = NIL;
         let mut cur = self.root;
         while cur != NIL {
             trace.read(self.sim_addr(cur));
             parent = cur;
-            let k = self.n(cur).key;
-            // check:allow(ObjectMap vets every block through the extent rule first)
-            assert!(k != base, "duplicate block base {base:#x}");
-            cur = if base < k {
-                self.n(cur).left
+            if base < self.n(cur).key {
+                (above, cur) = (cur, self.n(cur).left);
             } else {
-                self.n(cur).right
-            };
+                (below, cur) = (cur, self.n(cur).right);
+            }
+        }
+        let extent = |n: u32| (n != NIL).then(|| (self.n(n).key, self.n(n).end));
+        if let Err(e) = cachescope_sim::admit(base, end, extent(below), extent(above)) {
+            trace.reads.truncate(traced);
+            return Err(Refused::Extent(e));
         }
         let z = self.alloc_node(base, end, id);
         trace.write(self.sim_addr(z));
@@ -352,6 +345,16 @@ impl RbTree {
             x = self.n(x).left;
         }
         x
+    }
+
+    /// The smallest base and largest end over all live blocks (they are
+    /// disjoint, so the rightmost one ends last); untraced.
+    pub fn extent(&self) -> Option<(Addr, Addr)> {
+        let mut hi = self.root;
+        while self.n(hi).right != NIL {
+            hi = self.n(hi).right;
+        }
+        (self.root != NIL).then(|| (self.n(self.minimum(self.root)).key, self.n(hi).end))
     }
 
     fn transplant(&mut self, u: u32, v: u32) {
@@ -772,18 +775,45 @@ mod tests {
         assert_eq!(bases, vec![10, 20, 50, 60, 80]);
     }
 
+    /// A block at a live base is refused by the extent rule, naming the
+    /// live block, and leaves the tree and the trace as they were.
     #[test]
-    #[should_panic(expected = "duplicate block base")]
-    fn duplicate_base_panics() {
+    fn duplicate_base_is_refused() {
         let mut tr = tree();
-        tr.insert(10, 20, ObjectId(0), &mut t()).unwrap();
-        tr.insert(10, 30, ObjectId(1), &mut t()).unwrap();
+        for k in [10u64, 40, 70] {
+            tr.insert(k, k + 10, ObjectId(k as u32), &mut t()).unwrap();
+        }
+        let mut trace = t();
+        trace.read(1);
+        assert_eq!(
+            tr.insert(40, 45, ObjectId(9), &mut trace),
+            Err(Refused::Extent(ExtentError::Overlap {
+                base: 40,
+                end: 45,
+                other_base: 40,
+                other_end: 50,
+            }))
+        );
+        assert_eq!((trace.reads, trace.writes), (vec![1], vec![]));
+        assert_eq!(tr.len(), 3);
+        assert_eq!(tr.lookup(44, &mut t()), Some((40, 50, ObjectId(40))));
+        tr.validate();
     }
 
+    /// An empty or wrapped block is refused, typed, instead of aborting.
     #[test]
-    #[should_panic(expected = "empty block")]
-    fn empty_block_panics() {
-        tree().insert(10, 10, ObjectId(0), &mut t()).unwrap();
+    fn empty_block_is_refused() {
+        let mut tr = tree();
+        tr.insert(100, 200, ObjectId(0), &mut t()).unwrap();
+        for (base, end) in [(10, 10), (300, 250), (150, 150)] {
+            let mut trace = t();
+            assert_eq!(
+                tr.insert(base, end, ObjectId(1), &mut trace),
+                Err(Refused::Extent(ExtentError::Empty { base, end }))
+            );
+            assert!(trace.is_empty(), "{base}..{end} charged traffic");
+        }
+        assert_eq!(tr.iter_all(), vec![(100, 200, ObjectId(0))]);
     }
 
     #[test]
@@ -857,7 +887,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(
             err,
-            ArenaFull {
+            Refused::ArenaFull {
                 live_blocks: 65_535,
                 capacity: 65_535
             }
@@ -867,7 +897,6 @@ mod tests {
             before_reads,
             "a rejected insert charges no simulated traffic"
         );
-        assert!(err.to_string().contains("arena full"));
         // Freeing any block reopens exactly one slot.
         assert!(tr.remove(0, &mut trace).is_some());
         tr.insert(cap * 16, cap * 16 + 8, ObjectId(1), &mut trace)

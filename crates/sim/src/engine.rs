@@ -43,9 +43,9 @@ pub enum RunLimit {
 /// independent of any instrumentation (the source of the "Actual" columns).
 #[derive(Debug, Default)]
 struct GroundTruth {
-    objects: Vec<ObjectStats>,
+    objects: Vec<Registered>,
     /// Per-object miss tallies, parallel to `objects`. Kept out of the
-    /// [`ObjectStats`] records (56+ bytes each) so the per-miss increment
+    /// registry records (48 bytes each) so the per-miss increment
     /// touches a dense `u64` array instead of striding through the
     /// name-carrying registry; folded back into the stats at collect
     /// time.
@@ -60,6 +60,17 @@ struct GroundTruth {
     slow_resolves: u64,
 }
 
+/// One registered object. An anonymous heap block has no name until
+/// [`GroundTruth::collected_objects`] gives it its base in hex, so an
+/// alloc formats nothing.
+#[derive(Debug)]
+struct Registered {
+    name: Option<String>,
+    base: Addr,
+    size: u64,
+    kind: ObjectKind,
+}
+
 impl GroundTruth {
     /// Register an object and its live extent. When the extent rule
     /// refuses it (empty, wrapping, or overlapping a live extent) nothing
@@ -68,7 +79,7 @@ impl GroundTruth {
     /// hostile trace must degrade, not abort).
     fn insert(
         &mut self,
-        name: String,
+        name: Option<String>,
         base: Addr,
         size: u64,
         kind: ObjectKind,
@@ -78,12 +89,11 @@ impl GroundTruth {
         let (base, end) = crate::epoch::extent_of(base, size);
         self.index.insert(base, end, id)?;
         self.pages.invalidate(base, end);
-        self.objects.push(ObjectStats {
+        self.objects.push(Registered {
             name,
             base,
             size,
             kind,
-            misses: 0,
         });
         self.miss_counts.push(0);
         Ok(id)
@@ -116,13 +126,21 @@ impl GroundTruth {
         }
     }
 
-    /// The registry with miss tallies folded back in.
-    fn collected_objects(&self) -> Vec<ObjectStats> {
-        let mut objects = self.objects.clone();
-        for (o, &m) in objects.iter_mut().zip(&self.miss_counts) {
-            o.misses = m;
-        }
-        objects
+    /// Move the registry out, with miss tallies folded in and anonymous
+    /// blocks named by their hexadecimal base (`0x141020000`), as in the
+    /// paper's tables.
+    fn collected_objects(&mut self) -> Vec<ObjectStats> {
+        std::mem::take(&mut self.objects)
+            .into_iter()
+            .zip(&self.miss_counts)
+            .map(|(o, &misses)| ObjectStats {
+                name: o.name.unwrap_or_else(|| format!("{:#x}", o.base)),
+                base: o.base,
+                size: o.size,
+                kind: o.kind,
+                misses,
+            })
+            .collect()
     }
 }
 
@@ -344,7 +362,7 @@ impl Engine {
         for decl in program.static_objects() {
             if let Err(err) = self
                 .truth
-                .insert(decl.name, decl.base, decl.size, decl.kind)
+                .insert(Some(decl.name), decl.base, decl.size, decl.kind)
             {
                 // Overlapping, empty or wrapping static declarations are a
                 // workload bug, but the engine must degrade rather than
@@ -419,7 +437,11 @@ impl Engine {
                     if self.limit_reached(limit) {
                         break 'outer;
                     }
-                    self.control_event(chunk.marks[mi].1.clone(), handler);
+                    // The engine owns the chunk, so the mark moves out.
+                    let event = std::mem::replace(&mut chunk.marks[mi].1, Event::Compute(0));
+                    let sp = self.obs.profiler.enter("engine.control");
+                    self.control_event(event, handler);
+                    self.close_span_into(sp, "engine.control_ns");
                     self.poll_interrupts(handler);
                     mi += 1;
                 }
@@ -463,18 +485,18 @@ impl Engine {
                     self.poll_interrupts(handler);
                 }
             }
-            self.close_chunk_span(sp_chunk);
+            self.close_span_into(sp_chunk, "engine.chunk_ns");
         }
     }
 
-    /// Close a chunk span, folding its latency into the chunk-latency
-    /// histogram (profiled runs only — the histogram must not appear in
+    /// Close a span, folding its latency into the histogram `name`
+    /// (profiled runs only — the histogram must not appear in
     /// unprofiled metric snapshots, which golden gates diff).
     #[inline]
-    fn close_chunk_span(&mut self, sp: cachescope_obs::SpanId) {
+    fn close_span_into(&mut self, sp: cachescope_obs::SpanId, name: &'static str) {
         let dur = self.obs.profiler.exit(sp);
         if self.obs.profiler.is_enabled() {
-            self.obs.metrics.observe("engine.chunk_ns", dur);
+            self.obs.metrics.observe(name, dur);
         }
     }
 
@@ -534,8 +556,10 @@ impl Engine {
             Event::Access(r) => self.app_access(r),
             Event::Compute(c) => self.clock += c,
             Event::Alloc { base, size, name } => {
-                let display = name.clone().unwrap_or_else(|| format!("{base:#x}"));
-                match self.truth.insert(display, base, size, ObjectKind::Heap) {
+                match self
+                    .truth
+                    .insert(name.clone(), base, size, ObjectKind::Heap)
+                {
                     Ok(_) => {
                         self.obs.emit(ObsEvent::Alloc {
                             now: self.clock,
@@ -757,7 +781,7 @@ impl Engine {
         self.poll_faults();
     }
 
-    fn collect(&self) -> RunStats {
+    fn collect(&mut self) -> RunStats {
         RunStats {
             app: self.app,
             l1: self.l1.is_some().then_some(self.l1_counts),
@@ -1052,6 +1076,46 @@ mod tests {
         assert_eq!(stats.objects[0].name, "0x141000000");
         assert_eq!(stats.objects[0].misses, 4);
         assert_eq!(stats.unmapped_misses, 2);
+    }
+
+    /// Ground truth names an anonymous block by its base in hex, whether
+    /// or not it was ever missed and whether or not its base was reused;
+    /// a named block keeps its name, even an empty one.
+    #[test]
+    fn anonymous_blocks_are_named_by_their_base() {
+        let alloc = |base: u64, name: Option<&str>| Event::Alloc {
+            base,
+            size: 256,
+            name: name.map(String::from),
+        };
+        let (a, b) = (0x1_4102_0000u64, 0x40u64);
+        let mut events = vec![alloc(a, None), alloc(b, None)];
+        events.extend(line_reads(a, 2));
+        events.push(Event::Free { base: a });
+        events.push(alloc(a, None));
+        events.extend(line_reads(a + 128, 1));
+        events.push(Event::Free { base: b });
+        events.push(alloc(b, Some("")));
+        events.push(Event::Free { base: a });
+        events.push(alloc(a, Some("node")));
+        let mut p = TraceProgram::new("t", vec![], events);
+        let stats = Engine::new(cfg()).run(&mut p, &mut NullHandler, RunLimit::Exhausted);
+        let got: Vec<(&str, u64)> = stats
+            .objects
+            .iter()
+            .map(|o| (o.name.as_str(), o.misses))
+            .collect();
+        let (a_hex, b_hex) = (format!("{a:#x}"), format!("{b:#x}"));
+        assert_eq!(
+            got,
+            vec![
+                (a_hex.as_str(), 2),
+                (b_hex.as_str(), 0),
+                (a_hex.as_str(), 1),
+                ("", 0),
+                ("node", 0),
+            ]
+        );
     }
 
     struct CountingHandler {
@@ -1578,6 +1642,44 @@ mod chunked_equivalence_tests {
     use crate::rng::SmallRng;
     use cachescope_hwpm::{CostModel, FaultConfig, PmuConfig};
 
+    /// Implements only `next_event`, so the engine pulls its chunks
+    /// through the default `next_chunk` adapter, not a trace's stored
+    /// chunks.
+    struct EventsOnly(TraceProgram);
+
+    impl Program for EventsOnly {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn static_objects(&self) -> Vec<ObjectDecl> {
+            self.0.static_objects()
+        }
+
+        fn next_event(&mut self) -> Option<Event> {
+            self.0.next_event()
+        }
+    }
+
+    /// How an equivalence test runs a program: the scalar reference
+    /// loop, or the chunked loop over a trace's stored chunks or over
+    /// the default adapter.
+    #[derive(Clone, Copy, Debug)]
+    enum Pull {
+        Scalar,
+        Stored,
+        Adapter,
+    }
+
+    /// The program `events` as `pull` feeds it to the engine.
+    fn program(pull: Pull, decls: &[ObjectDecl], events: &[Event]) -> Box<dyn Program> {
+        let trace = TraceProgram::new("eq", decls.to_vec(), events.to_vec());
+        match pull {
+            Pull::Adapter => Box::new(EventsOnly(trace)),
+            Pull::Scalar | Pull::Stored => Box::new(trace),
+        }
+    }
+
     /// A handler that exercises every interrupt-latching mechanism: a
     /// periodic miss-overflow counter, a periodic timer, and handler
     /// memory traffic through the simulated cache. After `quit_after`
@@ -1759,8 +1861,8 @@ mod chunked_equivalence_tests {
                 _ => RunLimit::AppCycles(rng.random_range(1_000u64..30_000)),
             };
 
-            let run = |scalar: bool| {
-                let mut p = TraceProgram::new("rand", decls.clone(), events.clone());
+            let run = |pull: Pull| {
+                let mut p = program(pull, &decls, &events);
                 let mut h = BusyHandler {
                     interrupts: 0,
                     overflow_period: 13,
@@ -1768,23 +1870,24 @@ mod chunked_equivalence_tests {
                     quit_after: u64::MAX,
                 };
                 let mut e = Engine::new(cfg.clone());
-                let stats = if scalar {
-                    e.run_scalar(&mut p, &mut h, limit)
-                } else {
-                    e.run(&mut p, &mut h, limit)
+                let stats = match pull {
+                    Pull::Scalar => e.run_scalar(&mut p, &mut h, limit),
+                    Pull::Stored | Pull::Adapter => e.run(&mut p, &mut h, limit),
                 };
                 (stats, h.interrupts, e.steps)
             };
-            let (chunked, chunked_intrs, stepped) = run(false);
-            let (scalar, scalar_intrs, _) = run(true);
-            assert_stats_equal(&chunked, &scalar, case);
-            assert_eq!(
-                chunked_intrs, scalar_intrs,
-                "case {case}: handler interrupts"
-            );
-            // A spurious overflow can latch at any miss, so no access may
-            // go in bulk.
-            assert_eq!(stepped, chunked.app.accesses, "case {case}: bulk step");
+            let (scalar, scalar_intrs, _) = run(Pull::Scalar);
+            for pull in [Pull::Stored, Pull::Adapter] {
+                let (chunked, chunked_intrs, stepped) = run(pull);
+                assert_stats_equal(&chunked, &scalar, case);
+                assert_eq!(
+                    chunked_intrs, scalar_intrs,
+                    "case {case}, {pull:?}: handler interrupts"
+                );
+                // A spurious overflow can latch at any miss, so no access
+                // may go in bulk.
+                assert_eq!(stepped, chunked.app.accesses, "case {case}: bulk step");
+            }
         }
     }
 
@@ -1885,8 +1988,8 @@ mod chunked_equivalence_tests {
                 1 => RunLimit::AppMisses(rng.random_range(100u64..3_000)),
                 _ => RunLimit::AppAccesses(rng.random_range(100u64..6_000)),
             };
-            let run = |scalar: bool| {
-                let mut p = TraceProgram::new("churn", decls.clone(), events.clone());
+            let run = |pull: Pull| {
+                let mut p = program(pull, &decls, &events);
                 let mut h = BusyHandler {
                     interrupts: 0,
                     overflow_period: 11,
@@ -1894,15 +1997,14 @@ mod chunked_equivalence_tests {
                     quit_after: u64::MAX,
                 };
                 let mut e = Engine::new(cfg.clone());
-                if scalar {
-                    e.run_scalar(&mut p, &mut h, limit)
-                } else {
-                    e.run(&mut p, &mut h, limit)
+                match pull {
+                    Pull::Scalar => e.run_scalar(&mut p, &mut h, limit),
+                    Pull::Stored | Pull::Adapter => e.run(&mut p, &mut h, limit),
                 }
             };
-            let chunked = run(false);
-            let scalar = run(true);
-            assert_stats_equal(&chunked, &scalar, case);
+            let scalar = run(Pull::Scalar);
+            assert_stats_equal(&run(Pull::Stored), &scalar, case);
+            assert_stats_equal(&run(Pull::Adapter), &scalar, case);
             // The suite only means something if churn actually dominated:
             // demand a dense allocator-event mix.
             if matches!(limit, RunLimit::Exhausted) {
@@ -2235,7 +2337,8 @@ mod ground_truth_stress_tests {
                                 .next_back()
                                 .is_none_or(|(_, &(oe, _))| oe <= b);
                         let want = clean.then_some(truth.objects.len() as u32);
-                        let got = truth.insert(format!("o{step}"), base, size, ObjectKind::Heap);
+                        let got =
+                            truth.insert(Some(format!("o{step}")), base, size, ObjectKind::Heap);
                         assert_eq!(got.ok(), want, "insert {b:#x}..{e:#x} at step {step}");
                         if let Some(id) = want {
                             oracle.insert(b, (e, id));
@@ -2310,7 +2413,7 @@ mod ground_truth_stress_tests {
         let mut ids = Vec::with_capacity(BLOCKS as usize);
         for k in 0..BLOCKS {
             let id = truth
-                .insert(format!("blk{k}"), base_of(k), SIZE, ObjectKind::Heap)
+                .insert(Some(format!("blk{k}")), base_of(k), SIZE, ObjectKind::Heap)
                 .unwrap();
             ids.push(id);
         }
@@ -2329,7 +2432,7 @@ mod ground_truth_stress_tests {
         }
         for k in (0..BLOCKS).step_by(2) {
             let id = truth
-                .insert(format!("re{k}"), base_of(k), SIZE, ObjectKind::Heap)
+                .insert(Some(format!("re{k}")), base_of(k), SIZE, ObjectKind::Heap)
                 .unwrap();
             assert!(truth.resolve(base_of(k) + 8) == Some(id));
         }
@@ -2352,7 +2455,7 @@ mod ground_truth_stress_tests {
         for k in 0..10_000u64 {
             truth
                 .insert(
-                    format!("blk{k}"),
+                    Some(format!("blk{k}")),
                     0x1000_0000 + k * 256,
                     256,
                     ObjectKind::Heap,
@@ -2362,7 +2465,7 @@ mod ground_truth_stress_tests {
         // Straddles blk5000/blk5001.
         let bad_base = 0x1000_0000 + 5_000 * 256 + 128;
         let err = truth
-            .insert("bad".into(), bad_base, 256, ObjectKind::Heap)
+            .insert(Some("bad".into()), bad_base, 256, ObjectKind::Heap)
             .unwrap_err();
         assert!(matches!(
             err,

@@ -2,10 +2,13 @@
 //! resolve structure behind ground truth, the symbol table, the heap map
 //! and the static analyzer.
 //!
-//! **The rule.** Only [`EpochIndex::check`] decides whether an extent
-//! may go live: it refuses an empty one (a zero size, or a wrap, which
-//! [`extent_of`] turns into an inverted extent, not an overflow) and one
-//! overlapping a live extent, with one [`ExtentError`].
+//! **The rule.** Only [`admit`] decides whether an extent may go live:
+//! it refuses an empty one (a zero size, or a wrap, which [`extent_of`]
+//! turns into an inverted extent, not an overflow) and one overlapping a
+//! live extent, with one [`ExtentError`]. It reads only the live extents
+//! beside the new one, so each index asks it with what it finds there:
+//! [`EpochIndex::check`] from its `BTreeMap`, and the object map's
+//! red-black tree from the two neighbours its insert descent visits.
 //! [`EpochIndex::insert`] is `check` plus the commit. Every consumer
 //! degrades a refusal alike: the first extent wins.
 //!
@@ -90,6 +93,39 @@ pub fn extent_of(base: Addr, size: u64) -> (Addr, Addr) {
     (base, base.wrapping_add(size))
 }
 
+/// The extent rule, as one predicate over the live extents beside
+/// `[base, end)`: refuse it when it is empty (`end <= base`, a zero size
+/// or a wrap), when `below` reaches past `base`, or when `above` starts
+/// before `end`. Callers pass as `below` the live extent with the
+/// highest base at or below `base`, and as `above` the one with the
+/// lowest base above it: the refusal then names the lowest overlapping
+/// extent. (With `above` absent, `below` may be any extent based below
+/// `end`: an acceptance test that [`EpochIndex::check`] makes with one
+/// query.)
+#[inline]
+pub fn admit(
+    base: Addr,
+    end: Addr,
+    below: Option<(Addr, Addr)>,
+    above: Option<(Addr, Addr)>,
+) -> Result<(), ExtentError> {
+    if end <= base {
+        return Err(ExtentError::Empty { base, end });
+    }
+    let clash = below
+        .filter(|&(_, e)| e > base)
+        .or(above.filter(|&(b, _)| b < end));
+    match clash {
+        Some((other_base, other_end)) => Err(ExtentError::Overlap {
+            base,
+            end,
+            other_base,
+            other_end,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Registries this small resolve faster with a straight containment scan
 /// than with binary search's data-dependent branches.
 const LINEAR_SCAN_MAX: usize = 16;
@@ -168,23 +204,21 @@ impl EpochIndex {
     /// (reporting the lowest such). Read-only, so a caller can vet an
     /// extent before doing work of its own and commit with
     /// [`EpochIndex::insert`] after.
+    ///
+    /// One query decides: live extents are disjoint, so if any of them
+    /// overlaps `[base, end)`, the one with the highest base below `end`
+    /// does. Only a refusal looks up the neighbours of `base`, to name
+    /// the lowest overlapping extent.
     pub fn check(&self, base: Addr, end: Addr) -> Result<(), ExtentError> {
-        if end <= base {
-            return Err(ExtentError::Empty { base, end });
+        use std::ops::Bound::{Excluded, Unbounded};
+        let pair = |(&b, &(e, _)): (&Addr, &(Addr, u32))| (b, e);
+        let last = self.map.range(..end).next_back().map(pair);
+        if admit(base, end, last, None).is_ok() {
+            return Ok(());
         }
-        let below = self.map.range(..base).next_back();
-        let clash = below
-            .filter(|&(_, &(e, _))| e > base)
-            .or_else(|| self.map.range(base..end).next());
-        match clash {
-            Some((&other_base, &(other_end, _))) => Err(ExtentError::Overlap {
-                base,
-                end,
-                other_base,
-                other_end,
-            }),
-            None => Ok(()),
-        }
+        let below = self.map.range(..=base).next_back().map(pair);
+        let above = self.map.range((Excluded(base), Unbounded)).next().map(pair);
+        admit(base, end, below, above)
     }
 
     /// Insert a live extent: [`EpochIndex::check`] plus the commit. A
@@ -996,6 +1030,22 @@ mod tests {
                         }
                         Err(o) => {
                             assert!(oracle_overlap, "index rejected a clean insert: {o}");
+                            // The refusal names the lowest overlapping
+                            // extent: the first, in base order, to touch.
+                            let (&other_base, &(other_end, _)) = oracle
+                                .iter()
+                                .find(|(&b, &(e, _))| b < end && e > base)
+                                .expect("an overlap");
+                            assert_eq!(
+                                o,
+                                ExtentError::Overlap {
+                                    base,
+                                    end,
+                                    other_base,
+                                    other_end
+                                },
+                                "step {step}"
+                            );
                         }
                     }
                 } else if op < 5 {

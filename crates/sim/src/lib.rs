@@ -45,7 +45,7 @@ pub use address_space::{AddressSpace, Segment};
 pub use cache::{AccessOutcome, SetAssocCache};
 pub use config::{CacheConfig, ReplacementPolicy, SimConfig};
 pub use engine::{Engine, EngineCtx, Handler, NullHandler, RunLimit};
-pub use epoch::{extent_of, EpochIndex, ExtentError, ExtentMemo};
+pub use epoch::{admit, extent_of, EpochIndex, ExtentError, ExtentMemo};
 pub use memref::{AccessKind, MemRef};
 pub use program::{
     Event, EventChunk, ObjectDecl, ObjectKind, Program, TraceProgram, CHUNK_CAPACITY,

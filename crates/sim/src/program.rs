@@ -7,6 +7,8 @@
 //! non-memory instructions), heap allocation/free notifications (the
 //! paper's instrumented `malloc`), and phase markers.
 
+use std::collections::VecDeque;
+
 use crate::memref::MemRef;
 use crate::{Addr, Cycle};
 
@@ -102,9 +104,10 @@ pub const CHUNK_CAPACITY: usize = 1024;
 /// is either empty (unused) or exactly `refs.len()` long, with `0`
 /// meaning "no compute before this access". [`EventChunk::push_compute_run`]
 /// records a whole run of pairs that share one compute cost. The native
-/// producers and the default [`Program::next_chunk`] adapter fuse every
-/// such pair, so a `Compute` mark is zero-cycle or not directly followed
-/// by an access in the same chunk.
+/// producers and the compute fold behind the default
+/// [`Program::next_chunk`] adapter and [`TraceProgram`] fuse every such
+/// pair, so a `Compute` mark is zero-cycle or not directly followed by an
+/// access in the same chunk.
 #[derive(Debug, Clone)]
 pub struct EventChunk {
     /// Dense access run, in program order.
@@ -189,8 +192,11 @@ impl EventChunk {
     pub fn push_compute_ref(&mut self, cycles: Cycle, r: MemRef) {
         debug_assert!(!self.is_full());
         if cycles > 0 {
-            // Lazily materialise the zeros for earlier plain accesses.
-            if self.pre_cycles.len() < self.refs.len() {
+            // Lazily materialise the zeros for earlier plain accesses,
+            // sized once for the whole chunk: a stored trace keeps every
+            // chunk, and growth by doubling would leave each half empty.
+            if self.pre_cycles.is_empty() {
+                self.pre_cycles.reserve_exact(self.capacity);
                 self.pre_cycles.resize(self.refs.len(), 0);
             }
             self.pre_cycles.push(cycles);
@@ -288,39 +294,18 @@ pub trait Program {
     /// Fill `buf` with the next batch of events and return how many were
     /// added (0 means end of program). `buf` arrives reset.
     ///
-    /// The default implementation adapts [`Program::next_event`] and folds
-    /// as it goes: a nonzero `Compute` directly followed by an access is
-    /// fused into `pre_cycles` ([`EventChunk::push_compute_ref`]). It holds
-    /// at most one compute back to see what follows, and pushes it as a
-    /// mark when that is not an access or the chunk is full. Hot producers
-    /// override it to fill the dense access run directly. Either way the
-    /// flattened contents of `buf` must equal what repeated `next_event`
-    /// calls would have produced — the engine relies on this to keep
-    /// chunked execution bit-identical to scalar execution.
+    /// The default implementation adapts [`Program::next_event`] through
+    /// the compute fold: a nonzero `Compute` directly followed by an
+    /// access is fused into `pre_cycles` ([`EventChunk::push_compute_ref`]).
+    /// It holds at most one compute back to see what follows, and pushes
+    /// it as a mark when that is not an access or the chunk is full. Hot
+    /// producers override it to fill the dense access run directly, and
+    /// [`TraceProgram`] hands out chunks it folded when it was built.
+    /// Either way the flattened contents of `buf` must equal what repeated
+    /// `next_event` calls would have produced — the engine relies on this
+    /// to keep chunked execution bit-identical to scalar execution.
     fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
-        let mut held: Option<Cycle> = None;
-        // A held compute and the next event take two slots either way:
-        // fused as a pair, or as a mark then the event.
-        while buf.remaining() > usize::from(held.is_some()) {
-            let Some(e) = self.next_event() else {
-                break;
-            };
-            if let Some(c) = held.take() {
-                if let Event::Access(r) = e {
-                    buf.push_compute_ref(c, r);
-                    continue;
-                }
-                buf.push_mark(Event::Compute(c));
-            }
-            match e {
-                Event::Compute(c) if c > 0 => held = Some(c),
-                e => buf.push_event(e),
-            }
-        }
-        if let Some(c) = held {
-            buf.push_mark(Event::Compute(c));
-        }
-        buf.len()
+        fold_chunk(buf, || self.next_event())
     }
 }
 
@@ -342,22 +327,97 @@ impl<P: Program + ?Sized> Program for Box<P> {
     }
 }
 
-/// A trivial program defined by a pre-materialised event list. Useful in
-/// tests and for replaying recorded traces.
+/// The compute fold, the one rule by which an event stream becomes
+/// chunks: the default [`Program::next_chunk`] adapter and
+/// [`TraceBuilder`] both push events through it.
+#[derive(Debug, Default)]
+struct ComputeFold {
+    /// A nonzero compute waiting to see whether an access follows it.
+    held: Option<Cycle>,
+}
+
+impl ComputeFold {
+    /// Can `buf` take the next event? A held compute and the next event
+    /// take two slots either way: fused as a pair, or as a mark then the
+    /// event.
+    #[inline]
+    fn has_room(&self, buf: &EventChunk) -> bool {
+        buf.remaining() > usize::from(self.held.is_some())
+    }
+
+    /// Fold `e` into `buf`, which must have room for it.
+    #[inline]
+    fn push(&mut self, buf: &mut EventChunk, e: Event) {
+        if let Some(c) = self.held.take() {
+            if let Event::Access(r) = e {
+                buf.push_compute_ref(c, r);
+                return;
+            }
+            buf.push_mark(Event::Compute(c));
+        }
+        match e {
+            Event::Compute(c) if c > 0 => self.held = Some(c),
+            e => buf.push_event(e),
+        }
+    }
+
+    /// End the chunk: a held compute becomes a mark.
+    #[inline]
+    fn close(&mut self, buf: &mut EventChunk) {
+        if let Some(c) = self.held.take() {
+            buf.push_mark(Event::Compute(c));
+        }
+    }
+}
+
+/// Fill `buf` from `next` through the compute fold until it is full or
+/// `next` runs dry; returns the events `buf` holds.
+fn fold_chunk(buf: &mut EventChunk, mut next: impl FnMut() -> Option<Event>) -> usize {
+    let mut fold = ComputeFold::default();
+    while fold.has_room(buf) {
+        let Some(e) = next() else {
+            break;
+        };
+        fold.push(buf, e);
+    }
+    fold.close(buf);
+    buf.len()
+}
+
+/// A program defined by a pre-materialised event list. Useful in tests
+/// and for replaying recorded traces.
+///
+/// The events are stored as the standard-capacity chunks the default
+/// [`Program::next_chunk`] adapter would pull from them, so the engine's
+/// chunk pull takes the next one whole, without a copy or a second
+/// fold. [`Program::next_event`] reads the same chunks flattened.
 #[derive(Debug, Clone)]
 pub struct TraceProgram {
     name: String,
     objects: Vec<ObjectDecl>,
-    events: std::vec::IntoIter<Event>,
+    /// Chunks not yet handed out; `read` says how far the front one has
+    /// been read event by event.
+    chunks: VecDeque<EventChunk>,
+    read: ChunkCursor,
+}
+
+/// How far [`Program::next_event`] has read into a chunk, in flattened
+/// order: marks at access `i` up to `mark`, then the compute fused
+/// before access `i` once `pre_done`, then the access.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ChunkCursor {
+    i: usize,
+    mark: usize,
+    pre_done: bool,
 }
 
 impl TraceProgram {
     pub fn new(name: impl Into<String>, objects: Vec<ObjectDecl>, events: Vec<Event>) -> Self {
-        TraceProgram {
-            name: name.into(),
-            objects,
-            events: events.into_iter(),
+        let mut trace = TraceBuilder::new();
+        for e in events {
+            trace.push(e);
         }
+        trace.finish(name, objects)
     }
 }
 
@@ -371,7 +431,93 @@ impl Program for TraceProgram {
     }
 
     fn next_event(&mut self) -> Option<Event> {
-        self.events.next()
+        loop {
+            let chunk = self.chunks.front_mut()?;
+            let at = &mut self.read;
+            if let Some((pos, mark)) = chunk.marks.get_mut(at.mark) {
+                if *pos as usize == at.i {
+                    at.mark += 1;
+                    // A read mark stays behind the cursor, and a chunk
+                    // read into is never handed out whole, so the mark
+                    // can move out.
+                    return Some(std::mem::replace(mark, Event::Compute(0)));
+                }
+            }
+            if let Some(&r) = chunk.refs.get(at.i) {
+                if !at.pre_done {
+                    at.pre_done = true;
+                    if let Some(&c) = chunk.pre_cycles.get(at.i).filter(|&&c| c > 0) {
+                        return Some(Event::Compute(c));
+                    }
+                }
+                at.i += 1;
+                at.pre_done = false;
+                return Some(Event::Access(r));
+            }
+            self.chunks.pop_front();
+            self.read = ChunkCursor::default();
+        }
+    }
+
+    /// Hands a standard-capacity `buf` the next stored chunk whole. A
+    /// buffer of another capacity, or a chunk [`Program::next_event`] has
+    /// read into, refills through the compute fold.
+    fn next_chunk(&mut self, buf: &mut EventChunk) -> usize {
+        if buf.capacity() != CHUNK_CAPACITY || self.read != ChunkCursor::default() {
+            return fold_chunk(buf, || self.next_event());
+        }
+        match self.chunks.pop_front() {
+            Some(chunk) => {
+                *buf = chunk;
+                buf.len()
+            }
+            None => 0,
+        }
+    }
+}
+
+/// Builds a [`TraceProgram`] event by event, folding the stream into
+/// standard-capacity chunks as it goes, so a decoded trace never exists
+/// as a list of events.
+#[derive(Debug, Default)]
+pub(crate) struct TraceBuilder {
+    chunks: VecDeque<EventChunk>,
+    /// The chunk being filled.
+    open: EventChunk,
+    fold: ComputeFold,
+}
+
+impl TraceBuilder {
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Append the next event of the stream.
+    #[inline]
+    pub(crate) fn push(&mut self, e: Event) {
+        if !self.fold.has_room(&self.open) {
+            self.fold.close(&mut self.open);
+            self.chunks.push_back(std::mem::take(&mut self.open));
+        }
+        self.fold.push(&mut self.open, e);
+    }
+
+    /// The program that replays the pushed events.
+    pub(crate) fn finish(
+        mut self,
+        name: impl Into<String>,
+        objects: Vec<ObjectDecl>,
+    ) -> TraceProgram {
+        self.fold.close(&mut self.open);
+        if !self.open.is_empty() {
+            self.chunks.push_back(self.open);
+        }
+        TraceProgram {
+            name: name.into(),
+            objects,
+            chunks: self.chunks,
+            read: ChunkCursor::default(),
+        }
     }
 }
 
@@ -569,6 +715,54 @@ mod tests {
                     replayed.extend(chunk.to_events());
                 }
                 assert_eq!(&replayed, events, "capacity {capacity}");
+            }
+        }
+    }
+
+    /// A trace stores exactly the chunks the default adapter pulls from
+    /// its events at the standard capacity, and flattens back to those
+    /// events at any capacity, with event and chunk pulls mixed.
+    #[test]
+    fn trace_program_stores_the_default_adapters_chunks() {
+        let mut rng = SmallRng::seed_from_u64(0x7B0C);
+        for case in 0..8 {
+            let n = rng.random_range(1u64..5_000);
+            let events = fold_stream(&mut rng, n);
+            let mut trace = TraceProgram::new("t", vec![], events.clone());
+            let mut adapter = EventsOnly(events.clone().into_iter());
+            let (mut a, mut b) = (EventChunk::standard(), EventChunk::standard());
+            loop {
+                a.reset();
+                b.reset();
+                let n = trace.next_chunk(&mut a);
+                assert_eq!(n, adapter.next_chunk(&mut b), "case {case}");
+                assert_eq!(a.refs, b.refs, "case {case}");
+                assert_eq!(a.marks, b.marks, "case {case}");
+                assert_eq!(a.pre_cycles, b.pre_cycles, "case {case}");
+                if n == 0 {
+                    break;
+                }
+            }
+            for capacity in [1, 2, 3, 257, CHUNK_CAPACITY] {
+                let mut p = TraceProgram::new("t", vec![], events.clone());
+                let mut chunk = EventChunk::with_capacity(capacity);
+                let mut replayed = Vec::new();
+                loop {
+                    if rng.random_range(0u64..3) == 0 {
+                        match p.next_event() {
+                            Some(e) => replayed.push(e),
+                            None => break,
+                        }
+                        continue;
+                    }
+                    chunk.reset();
+                    if p.next_chunk(&mut chunk) == 0 {
+                        break;
+                    }
+                    assert!(chunk.len() <= capacity);
+                    replayed.extend(chunk.to_events());
+                }
+                assert_eq!(replayed, events, "case {case}, capacity {capacity}");
             }
         }
     }

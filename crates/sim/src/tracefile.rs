@@ -47,7 +47,7 @@
 use std::io::{self, BufRead, Write};
 
 use crate::memref::{AccessKind, MemRef};
-use crate::program::{Event, EventChunk, ObjectDecl, Program};
+use crate::program::{Event, EventChunk, ObjectDecl, Program, TraceBuilder, TraceProgram};
 
 const MAGIC: &str = "cachescope-trace 1";
 const BIN_MAGIC: &[u8; 8] = b"cstrace2";
@@ -979,24 +979,21 @@ impl<R: BufRead> Program for AnyTraceReader<R> {
 }
 
 /// Materialise an entire trace (either format, detected by magic) into a
-/// [`crate::program::TraceProgram`] (objects and events fully parsed up
-/// front). Use for small traces and tests; use [`TraceReader`] /
+/// [`TraceProgram`]: each decoded record goes straight into a
+/// `TraceBuilder`, so the trace is held once, as the engine's chunks.
+/// Use for small traces and tests; use [`TraceReader`] /
 /// [`BinTraceReader`] (or [`AnyTraceReader`]) to stream large ones.
-pub fn load_eager<R: BufRead>(reader: R) -> Result<crate::program::TraceProgram, TraceError> {
+pub fn load_eager<R: BufRead>(reader: R) -> Result<TraceProgram, TraceError> {
     let mut tr = AnyTraceReader::open(reader)?;
-    let mut events = Vec::new();
+    let mut trace = TraceBuilder::new();
     while let Some(ev) = tr.next_event() {
-        events.push(ev);
+        trace.push(ev);
     }
     // The infallible Program pull stashes body errors; surface them.
     if let Some(e) = tr.take_error() {
         return Err(e);
     }
-    Ok(crate::program::TraceProgram::new(
-        tr.name().to_string(),
-        tr.static_objects(),
-        events,
-    ))
+    Ok(trace.finish(tr.name().to_string(), tr.static_objects()))
 }
 
 #[cfg(test)]
@@ -1004,7 +1001,6 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::{Engine, NullHandler, RunLimit};
-    use crate::program::TraceProgram;
 
     fn sample_events() -> Vec<Event> {
         vec![

@@ -412,6 +412,14 @@ fn main() {
                 );
             }
         }
+        if let Some(h) = report.metrics.histogram("engine.control_ns") {
+            println!(
+                "  {:<24} {} events, {:.1} ns/event",
+                "engine.control",
+                h.count(),
+                h.mean(),
+            );
+        }
         println!(
             "  {:<24} {} of {} application accesses",
             "engine.stepped_accesses",

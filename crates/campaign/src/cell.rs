@@ -1,7 +1,7 @@
 //! A cell: one fully-resolved simulation in a campaign's sweep matrix.
 
 use cachescope_core::export::report_to_json;
-use cachescope_core::{Experiment, FaultConfig, TechniqueConfig};
+use cachescope_core::{refuse_run, Experiment, FaultConfig, TechniqueConfig};
 use cachescope_obs::Json;
 use cachescope_sim::RunLimit;
 use cachescope_workloads::spec::Scale;
@@ -86,8 +86,10 @@ impl Cell {
 
     /// Run the simulation and return the rendered report
     /// ([`report_to_json`] output) — the exact value the cache stores, so
-    /// cached and fresh cells are indistinguishable downstream.
+    /// cached and fresh cells are indistinguishable downstream. A cell
+    /// the run rule refuses fails with its codes before anything is built.
     pub fn run(&self) -> Result<Json, String> {
+        refuse_run(&self.technique, self.counters, &self.faults)?;
         let program = registry::instantiate(&self.workload, self.scale)?;
         let report = Experiment::new(program)
             .technique(self.technique.clone())

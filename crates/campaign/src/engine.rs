@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use cachescope_core::refuse_run;
 use cachescope_obs::{Json, Obs, ObsEvent};
 
 use crate::cache::{CacheLookup, ResultCache, DEFAULT_CACHE_DIR};
@@ -201,7 +202,10 @@ impl CampaignRunner {
         let mut settled: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
         let mut to_run: Vec<usize> = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
-            let cached = if self.force {
+            // A refused cell is never served, not even from an entry an
+            // older build stored: `Cell::run` fails it with its codes.
+            let refused = refuse_run(&cell.technique, cell.counters, &cell.faults).is_err();
+            let cached = if self.force || refused {
                 CacheLookup::Miss
             } else {
                 cache.load_classified(cell)

@@ -255,7 +255,7 @@ fn fault_config_from_json_at(v: &Json, path: &str) -> Result<FaultConfig, String
         f.spurious_rate = x;
     }
     if let Some(n) = v.get("wrap_bits").and_then(Json::as_u64) {
-        f.wrap_bits = n as u32;
+        f.wrap_bits = u32::try_from(n).unwrap_or(u32::MAX);
     }
     if let Some(n) = v.get("delivery_delay_cycles").and_then(Json::as_u64) {
         f.delivery_delay_cycles = n;
@@ -803,6 +803,12 @@ mod tests {
         let spec = sample_spec();
         let parsed = CampaignSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn a_wrap_width_past_u32_saturates() {
+        let v = cachescope_obs::json::parse(r#"{"wrap_bits": 4294967360}"#).unwrap();
+        assert_eq!(fault_config_from_json(&v).unwrap().wrap_bits, u32::MAX);
     }
 
     #[test]

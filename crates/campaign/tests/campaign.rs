@@ -154,6 +154,29 @@ fn corrupt_cache_entry_resimulates_and_is_reported() {
 }
 
 #[test]
+fn a_refused_cell_fails_even_with_a_cached_report() {
+    let dirs = TempDirs::new("refused");
+    let zero = TechniqueSpec::new("zero", TechniqueKind::None, LimitSpec::misses(10_000));
+    let spec = small_spec("refused").technique(zero.counters(0));
+    // An entry a build without the run rule could have stored.
+    let cells = spec.expand().unwrap();
+    let refused = cells.iter().find(|c| c.counters == 0).unwrap();
+    let report = cells[0].run().unwrap();
+    ResultCache::new(&dirs.cache)
+        .store(refused, &report)
+        .unwrap();
+
+    let run = dirs.runner().retries(0).run(&spec).unwrap();
+    assert_eq!(run.outcomes.len(), 4);
+    assert_eq!(run.failures.len(), 2);
+    for f in &run.failures {
+        assert_eq!(f.cell.counters, 0);
+        assert!(f.error.starts_with("CS-P004: "), "error: {}", f.error);
+    }
+    assert_eq!(run.obs.metrics.counter("campaign.cache_hits"), 0);
+}
+
+#[test]
 fn results_are_deterministic_across_cold_runs() {
     let spec = small_spec("determinism");
     let dirs_a = TempDirs::new("det-a");

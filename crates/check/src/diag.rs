@@ -58,7 +58,7 @@ pub const REGISTRY: &[(&str, &str)] = &[
     ("CS-P002", "counter width wraps within the configured run"),
     ("CS-P003", "sampling period or adaptive target is illegal"),
     ("CS-P004", "zero PMU counters configured"),
-    ("CS-P005", "search counter or logical-way arity is unusable"),
+    ("CS-P005", "logical search width is outside its range"),
     ("CS-P006", "fault knob is out of range"),
     ("CS-P007", "more PMU counters configured than the cap"),
     ("CS-S001", "campaign spec is not valid JSON"),

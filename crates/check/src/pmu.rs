@@ -8,15 +8,14 @@
 //! simulation runs.
 //!
 //! Codes: `CS-P001` region base above bound, `CS-P002` counter width vs.
-//! run length (wraparound ambiguity, warning), `CS-P003` a sampling
-//! period that breaks [`cachescope_core::SamplingPeriod::check`] (it can
-//! reach zero, or its adaptive target is not positive), `CS-P004` zero
-//! PMU counters, `CS-P005` n-way search arity vs. counter count,
-//! `CS-P006` fault knob out of range, `CS-P007` more PMU counters than
-//! [`PmuConfig::MAX_REGION_COUNTERS`].
+//! run length (wraparound ambiguity, warning). `CS-P003` to `CS-P007` are
+//! the refusals of the run rule, [`cachescope_core::run_refusals`], which
+//! every door that runs a configuration applies: an illegal sampling
+//! period, zero PMU counters, a logical search width outside its range,
+//! a fault knob out of range, more PMU counters than the cap.
 
 use cachescope_campaign::Cell;
-use cachescope_core::{FaultConfig, PmuConfig, TechniqueConfig};
+use cachescope_core::{run_refusals, FaultConfig};
 use cachescope_sim::{ObjectDecl, RunLimit};
 
 use crate::diag::Diagnostic;
@@ -47,115 +46,33 @@ pub(crate) fn wrap_diag(what: &str, base: u64, size: u64, source: &str) -> Optio
     })
 }
 
-/// Check one fully-resolved campaign cell's PMU-facing configuration.
+/// Check one fully-resolved campaign cell's PMU-facing configuration:
+/// each refusal of the run rule ([`run_refusals`], which the campaign
+/// runner applies to the same cell) as an error, plus the CS-P002
+/// wraparound warning.
 pub fn check_cell(cell: &Cell, source: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
     let who = cell.describe();
-    if cell.counters == 0 {
-        diags.push(
-            Diagnostic::error(
-                "CS-P004",
-                source,
-                format!("cell {who}: zero PMU counters configured"),
-            )
-            .with_hint("every technique needs at least the global miss counter's width"),
-        );
-    }
-    if cell.counters > PmuConfig::MAX_REGION_COUNTERS {
-        diags.push(
-            Diagnostic::error(
-                "CS-P007",
-                source,
-                format!(
-                    "cell {who}: {} PMU counters exceed the cap of {}",
-                    cell.counters,
-                    PmuConfig::MAX_REGION_COUNTERS
-                ),
-            )
-            .with_hint("the CLI and the daemon refuse the count; real PMUs carry a handful"),
-        );
-    }
-    match &cell.technique {
-        TechniqueConfig::None => {}
-        TechniqueConfig::Sampling(cfg) => {
-            if let Err(why) = cfg.period.check() {
-                diags.push(
-                    Diagnostic::error("CS-P003", source, format!("cell {who}: {why}")).with_hint(
-                        "the PMU is armed with every drawn period, so each must be a positive \
-                         miss count",
-                    ),
-                );
-            }
-        }
-        TechniqueConfig::Search(cfg) => {
-            if cell.counters < 2 {
-                diags.push(
-                    Diagnostic::error(
-                        "CS-P005",
-                        source,
-                        format!(
-                            "cell {who}: the n-way search needs at least 2 region counters, \
-                             got {}",
-                            cell.counters
-                        ),
-                    )
-                    .with_hint("a 1-way search cannot bisect; give the PMU more counters"),
-                );
-            }
-            if cfg.logical_ways == Some(0) {
-                diags.push(
-                    Diagnostic::error(
-                        "CS-P005",
-                        source,
-                        format!("cell {who}: logical_ways is zero"),
-                    )
-                    .with_hint("timesharing needs at least one logical way"),
-                );
-            }
-        }
-    }
-    diags.extend(check_faults(&cell.faults, source, &who));
-    if let Some(d) = check_wrap_width(&cell.faults, cell.limit, source, &who) {
-        diags.push(d);
-    }
+    let mut diags: Vec<Diagnostic> = run_refusals(&cell.technique, cell.counters, &cell.faults)
+        .into_iter()
+        .map(|r| {
+            Diagnostic::error(r.code, source, format!("cell {who}: {}", r.message))
+                .with_hint(refusal_hint(r.code))
+        })
+        .collect();
+    diags.extend(check_wrap_width(&cell.faults, cell.limit, source, &who));
     diags
 }
 
-/// Fault-injection knobs are probabilities (rates) and bit widths; out of
-/// range values silently saturate or alias, so they are rejected here.
-pub fn check_faults(f: &FaultConfig, source: &str, who: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (knob, v) in [
-        ("skid_rate", f.skid_rate),
-        ("drop_rate", f.drop_rate),
-        ("spurious_rate", f.spurious_rate),
-        ("read_jitter", f.read_jitter),
-    ] {
-        if !(0.0..=1.0).contains(&v) || v.is_nan() {
-            diags.push(
-                Diagnostic::error(
-                    "CS-P006",
-                    source,
-                    format!("cell {who}: fault knob {knob} = {v} is not a probability"),
-                )
-                .with_hint("rates must lie in [0, 1]"),
-            );
-        }
+/// The fix hint for each code the run rule refuses with.
+fn refusal_hint(code: &str) -> &'static str {
+    match code {
+        "CS-P003" => "the PMU is armed with every drawn period, so each must be a positive count",
+        "CS-P004" => "every technique needs at least the global miss counter's width",
+        "CS-P005" => "give at least one way; ways beyond the region counters are timeshared",
+        "CS-P006" => "rates are probabilities; wrap_bits 0 turns wraparound off",
+        "CS-P007" => "real PMUs carry a handful of counters; the paper's search uses 10",
+        _ => "the run rule refuses this configuration",
     }
-    if f.wrap_bits > 64 {
-        diags.push(
-            Diagnostic::error(
-                "CS-P006",
-                source,
-                format!(
-                    "cell {who}: wrap_bits = {} exceeds the 64-bit counter",
-                    f.wrap_bits
-                ),
-            )
-            .with_hint("use 0 to disable wraparound, or a width in 1..=64"),
-        );
-    }
-    diags
 }
 
 /// A counter that wraps at `2^wrap_bits` counts cannot distinguish `n`
@@ -193,7 +110,7 @@ fn check_wrap_width(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachescope_core::SamplerConfig;
+    use cachescope_core::{PmuConfig, SamplerConfig, SearchConfig, TechniqueConfig};
     use cachescope_workloads::spec::Scale;
 
     fn cell() -> Cell {
@@ -270,17 +187,23 @@ mod tests {
 
     #[test]
     fn search_arity_violations_are_p005() {
+        // One counter runs a timeshared 2-way search.
         let mut c = cell();
         c.technique = TechniqueConfig::Search(Default::default());
         c.counters = 1;
-        assert_eq!(codes(&check_cell(&c, "t")), ["CS-P005"]);
-        let mut c = cell();
-        let cfg = cachescope_core::SearchConfig {
-            logical_ways: Some(0),
-            ..Default::default()
+        assert!(check_cell(&c, "t").is_empty());
+        let search = |ways| {
+            TechniqueConfig::Search(SearchConfig {
+                logical_ways: Some(ways),
+                ..Default::default()
+            })
         };
-        c.technique = TechniqueConfig::Search(cfg);
-        assert_eq!(codes(&check_cell(&c, "t")), ["CS-P005"]);
+        c.technique = search(SearchConfig::MAX_LOGICAL_WAYS);
+        assert!(check_cell(&c, "t").is_empty());
+        for ways in [0, SearchConfig::MAX_LOGICAL_WAYS + 1] {
+            c.technique = search(ways);
+            assert_eq!(codes(&check_cell(&c, "t")), ["CS-P005"], "{ways}");
+        }
     }
 
     #[test]
@@ -288,7 +211,8 @@ mod tests {
         let mut c = cell();
         c.faults.drop_rate = 1.5;
         c.faults.wrap_bits = 99;
+        c.faults.skid_depth = FaultConfig::MAX_SKID_DEPTH + 1;
         let diags = check_cell(&c, "t");
-        assert_eq!(codes(&diags), ["CS-P006", "CS-P006"]);
+        assert_eq!(codes(&diags), ["CS-P006", "CS-P006", "CS-P006"]);
     }
 }

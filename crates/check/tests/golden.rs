@@ -216,11 +216,19 @@ fn p007_counters_above_the_cap() {
 }
 
 #[test]
-fn p005_search_needs_two_counters() {
+fn p005_search_width_outside_its_range() {
+    // One region counter is enough: the search timeshares it.
     let mut c = base_cell();
     c.technique = TechniqueConfig::Search(SearchConfig::default());
     c.counters = 1;
-    assert_eq!(codes(&pmu::check_cell(&c, "golden")), ["CS-P005"]);
+    assert!(pmu::check_cell(&c, "golden").is_empty());
+    for ways in [0, SearchConfig::MAX_LOGICAL_WAYS + 1] {
+        c.technique = TechniqueConfig::Search(SearchConfig {
+            logical_ways: Some(ways),
+            ..SearchConfig::default()
+        });
+        assert_eq!(codes(&pmu::check_cell(&c, "golden")), ["CS-P005"], "{ways}");
+    }
 }
 
 #[test]

@@ -4,8 +4,15 @@
 //! the run must return, the refusal must surface as its typed
 //! diagnostic, ground truth must equal that of the same input with the
 //! refused records deleted, and the static oracle, which applies the
-//! same rule, must find ground truth inside its bounds. Hostile option
-//! values are refused before any run starts.
+//! same rule, must find ground truth inside its bounds.
+//!
+//! Hostile option values are refused before any run starts. A run
+//! configuration (technique, counter count, fault model) is judged by
+//! one rule, `cachescope_core::run_refusals`: one table of hostile and
+//! boundary values goes through every door that can carry each value
+//! (the rule itself, a daemon hello, a campaign cell, a fuzz golden and
+//! `check`), and every door must refuse a hostile value with the same
+//! `CS-P` code and admit a boundary one.
 
 use cachescope_analyze::{analyze_program, AnalyzeConfig};
 use cachescope_campaign::spec::{
@@ -17,14 +24,17 @@ use cachescope_check::pmu::check_cell;
 use cachescope_check::trace::check_trace;
 use cachescope_core::export::report_to_json;
 use cachescope_core::{
-    Experiment, ExperimentReport, FaultConfig, PmuConfig, SamplerConfig, SamplingPeriod,
-    SearchConfig, TechniqueConfig,
+    run_refusals, Experiment, ExperimentReport, FaultConfig, PmuConfig, SamplerConfig,
+    SamplingPeriod, SearchConfig, TechniqueConfig,
 };
+use cachescope_fuzzgen::golden::{Expected, Golden};
 use cachescope_obs::ObsEvent;
+use cachescope_serve::SessionConfig;
 use cachescope_sim::tracefile::{RecordingProgram, TraceFormat};
 use cachescope_sim::{
     CacheConfig, Event, MemRef, ObjectDecl, Program, RunLimit, TimelineConfig, TraceProgram,
 };
+use cachescope_workloads::fuzz::Scenario;
 use cachescope_workloads::spec::Scale;
 
 const HEAP: u64 = 0x1_4100_0000;
@@ -281,21 +291,12 @@ fn truth(report: &ExperimentReport) -> (Vec<(String, u64, u64, u64)>, u64) {
     (objects, report.stats.unmapped_misses)
 }
 
-/// Option values that used to abort a run are refused where they enter,
-/// by the predicates the CLI (`--counters`, `--l1`, `--timeline`) and
-/// the daemon hello (`counters`) call: a zero count aborted the search,
-/// a huge one `Pmu::new`'s allocation, a 0 KiB L1 `CacheConfig::validate`
-/// and a zero bucket width `Timeline::new`. `check` flags the same
-/// counts in a campaign cell.
+/// The L1 and timeline options only the CLI sets are refused at parse,
+/// by the predicates `--l1` and `--timeline` call: a 0 KiB L1 used to
+/// abort in `CacheConfig::validate` and a zero bucket width in
+/// `Timeline::new`.
 #[test]
 fn hostile_option_values_are_refused_where_they_enter() {
-    let cap = PmuConfig::MAX_REGION_COUNTERS;
-    for n in [0, cap + 1, 100_000_000_000, usize::MAX] {
-        assert!(PmuConfig::check_counters(n).is_err(), "{n} counters");
-    }
-    for n in [1, 2, 10, cap] {
-        assert_eq!(PmuConfig::check_counters(n), Ok(()), "{n} counters");
-    }
     let top = CacheConfig::MAX_L1_KIB;
     for kib in [0, top + 1, u64::MAX / 1024 + 1, u64::MAX] {
         assert!(CacheConfig::l1_kib(kib).is_err(), "L1 of {kib} KiB");
@@ -307,26 +308,146 @@ fn hostile_option_values_are_refused_where_they_enter() {
     }
     assert!(TimelineConfig::new(0).is_err());
     assert_eq!(TimelineConfig::new(1).map(|t| t.bucket_cycles), Ok(1));
-    let cell = |counters: usize| Cell {
-        index: 0,
-        workload: "mgrid".into(),
-        scale: Scale::Test,
-        label: "hostile".into(),
-        seed: 1,
-        technique: TechniqueConfig::Search(SearchConfig::default()),
-        counters,
-        limit: RunLimit::AppMisses(1000),
-        faults: FaultConfig::default(),
+}
+
+/// One knob of a run configuration, set to one value; the others keep
+/// the CLI's defaults.
+enum Knob {
+    /// PMU region counters, under `search` (zero used to abort the
+    /// search, a huge count the counter array's allocation).
+    Counters(usize),
+    /// A technique spec (a huge search width used to abort in the
+    /// searcher's region seeding).
+    Technique(String),
+    /// A fault model, under sampling (a huge skid depth used to abort in
+    /// the skid ring's allocation).
+    Faults(FaultConfig),
+}
+
+impl Knob {
+    /// The run configuration: technique spec, counters, faults.
+    fn config(&self) -> (&str, usize, FaultConfig) {
+        match self {
+            Knob::Counters(n) => ("search", *n, FaultConfig::default()),
+            Knob::Technique(spec) => (spec, 10, FaultConfig::default()),
+            Knob::Faults(f) => ("sampling:1000", 10, f.clone()),
+        }
+    }
+}
+
+/// Hostile values with the code every door must refuse them with, and
+/// boundary values (`None`) every door must admit.
+fn config_rows() -> Vec<(Knob, Option<&'static str>)> {
+    let faults = |set: fn(&mut FaultConfig)| {
+        let mut f = FaultConfig {
+            seed: 3,
+            ..FaultConfig::default()
+        };
+        set(&mut f);
+        Knob::Faults(f)
     };
-    let codes = |n| -> Vec<_> {
-        check_cell(&cell(n), "hostile")
+    let technique = |spec: &str| Knob::Technique(spec.to_string());
+    let cap = PmuConfig::MAX_REGION_COUNTERS;
+    vec![
+        (Knob::Counters(0), Some("CS-P004")),
+        (Knob::Counters(cap + 1), Some("CS-P007")),
+        (Knob::Counters(100_000_000_000), Some("CS-P007")),
+        (technique("sampling:0"), Some("CS-P003")),
+        (technique("adaptive:NaN"), Some("CS-P003")),
+        (technique("search:0"), Some("CS-P005")),
+        (technique("search:100000000000"), Some("CS-P005")),
+        (
+            faults(|f| {
+                f.skid_depth = 100_000_000_000;
+                f.skid_rate = 0.5;
+            }),
+            Some("CS-P006"),
+        ),
+        (faults(|f| f.drop_rate = 1.5), Some("CS-P006")),
+        (faults(|f| f.wrap_bits = 99), Some("CS-P006")),
+        // Boundaries: one counter (the search timeshares it), each cap.
+        (Knob::Counters(1), None),
+        (Knob::Counters(cap), None),
+        (technique("search:1"), None),
+        (
+            technique(&format!("search:{}", SearchConfig::MAX_LOGICAL_WAYS)),
+            None,
+        ),
+        (
+            faults(|f| {
+                f.skid_depth = FaultConfig::MAX_SKID_DEPTH;
+                f.skid_rate = 0.5;
+            }),
+            None,
+        ),
+        (faults(|f| f.drop_rate = 1.0), None),
+        (faults(|f| f.wrap_bits = 64), None),
+    ]
+}
+
+/// What one door made of a configuration: `Ok` when it admitted it, or
+/// the CS-P code its refusal starts with.
+fn door_code(refusal: Result<(), String>) -> Result<(), String> {
+    refusal.map_err(|e| e.split(':').next().unwrap_or_default().to_string())
+}
+
+#[test]
+fn every_door_refuses_a_hostile_run_configuration_with_one_code() {
+    for (knob, code) in config_rows() {
+        let (spec, counters, faults) = knob.config();
+        let who = format!("{spec} on {counters} counters, {faults:?}");
+        let want = code.map_or(Ok(()), |c| Err(c.to_string()));
+        let technique = TechniqueConfig::parse_spec(spec, 20_000, false, false).unwrap();
+
+        let rule: Vec<_> = run_refusals(&technique, counters, &faults)
+            .iter()
+            .map(|r| r.code)
+            .collect();
+        assert_eq!(rule, code.into_iter().collect::<Vec<_>>(), "rule: {who}");
+
+        let cell = Cell {
+            index: 0,
+            workload: "mgrid".into(),
+            scale: Scale::Test,
+            label: "hostile".into(),
+            seed: 1,
+            technique,
+            counters,
+            limit: RunLimit::AppMisses(1_000),
+            faults: faults.clone(),
+        };
+        let checked: Vec<_> = check_cell(&cell, "hostile")
             .iter()
             .map(|d| d.code)
-            .collect()
-    };
-    assert_eq!(codes(100_000_000_000), ["CS-P007"]);
-    assert!(codes(0).contains(&"CS-P004"));
-    assert!(codes(cap).is_empty());
+            .collect();
+        assert_eq!(checked, rule, "check_cell: {who}");
+        assert_eq!(door_code(cell.run().map(drop)), want, "Cell::run: {who}");
+
+        if let Knob::Faults(faults) = &knob {
+            let golden = Golden {
+                name: "hostile".into(),
+                technique: "sample+h".into(),
+                level: "skid".into(),
+                faults: faults.clone(),
+                expected: Expected {
+                    min_inversions: 1,
+                    max_degraded: 0,
+                },
+                provenance: None,
+                scenario: Scenario::generate(1, 1_000),
+            };
+            let parsed = Golden::from_json(&golden.to_json()).map(drop);
+            assert_eq!(door_code(parsed), want, "Golden::from_json: {who}");
+        } else {
+            let hello = format!(r#"{{"technique":"{spec}","counters":{counters}}}"#);
+            let admitted = SessionConfig::from_json(hello.as_bytes()).map(drop);
+            if let Err(r) = &admitted {
+                assert_eq!(r.code, "bad_config", "hello: {who}");
+            }
+            let admitted = admitted.map_err(|r| r.message);
+            assert_eq!(door_code(admitted), want, "hello: {who}");
+        }
+    }
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub mod technique;
 
 pub use cachescope_hwpm::{FaultConfig, FaultTally, PmuConfig};
 pub use results::{rank_delta, Estimate, ExperimentReport, ReportRow, TechniqueReport};
-pub use runner::Experiment;
+pub use runner::{refuse_run, run_refusals, Experiment, RunRefusal};
 pub use sampler::{Sampler, SamplerConfig, SamplingPeriod};
 pub use search::{SearchConfig, SearchStrategy, Searcher};
 pub use technique::TechniqueConfig;

@@ -14,8 +14,86 @@ use cachescope_sim::{
 
 use crate::results::{ExperimentReport, TechniqueReport};
 use crate::sampler::Sampler;
-use crate::search::{SearchLog, Searcher};
+use crate::search::{SearchConfig, SearchLog, Searcher};
 use crate::technique::TechniqueConfig;
+
+/// A reason a run configuration may not run: the `CS-P` code `check`
+/// reports it under, and a message naming the offending value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunRefusal {
+    pub code: &'static str,
+    pub message: String,
+}
+
+/// The one admission rule: may `technique` run on `counters` PMU region
+/// counters under `faults`? Every door that takes a run configuration
+/// from outside the program (the CLI, a daemon hello, a campaign cell, a
+/// fuzz golden) asks before it builds anything, and `check` reports the
+/// same refusals, CS-P003 to CS-P007. Returns every refusal. One counter
+/// is enough: the search timeshares it.
+pub fn run_refusals(
+    technique: &TechniqueConfig,
+    counters: usize,
+    faults: &FaultConfig,
+) -> Vec<RunRefusal> {
+    let mut refusals = Vec::new();
+    let mut refuse = |code, message| refusals.push(RunRefusal { code, message });
+    let cap = PmuConfig::MAX_REGION_COUNTERS;
+    if counters == 0 || counters > cap {
+        let code = if counters == 0 { "CS-P004" } else { "CS-P007" };
+        refuse(code, format!("{counters} PMU counters, not in 1..={cap}"));
+    }
+    match technique {
+        TechniqueConfig::None => {}
+        TechniqueConfig::Sampling(cfg) => {
+            if let Err(why) = cfg.period.check() {
+                refuse("CS-P003", why);
+            }
+        }
+        TechniqueConfig::Search(cfg) => {
+            let cap = SearchConfig::MAX_LOGICAL_WAYS;
+            if let Some(n) = cfg.logical_ways.filter(|&n| n == 0 || n > cap) {
+                refuse("CS-P005", format!("search width {n}, not in 1..={cap}"));
+            }
+        }
+    }
+    let rates = [
+        ("skid_rate", faults.skid_rate),
+        ("drop_rate", faults.drop_rate),
+        ("spurious_rate", faults.spurious_rate),
+        ("read_jitter", faults.read_jitter),
+    ];
+    for (knob, rate) in rates.into_iter().filter(|(_, r)| !(0.0..=1.0).contains(r)) {
+        refuse("CS-P006", format!("{knob} {rate}, not in [0, 1]"));
+    }
+    let skid_cap = FaultConfig::MAX_SKID_DEPTH as u64;
+    let widths = [
+        ("wrap_bits", u64::from(faults.wrap_bits), 64),
+        ("skid_depth", faults.skid_depth as u64, skid_cap),
+    ];
+    for (knob, n, cap) in widths.into_iter().filter(|&(_, n, cap)| n > cap) {
+        refuse("CS-P006", format!("{knob} {n}, not in 0..={cap}"));
+    }
+    refusals
+}
+
+/// [`run_refusals`] as one error, for a door that reports one message:
+/// each refusal as `CODE: message`, joined by "; ".
+pub fn refuse_run(
+    technique: &TechniqueConfig,
+    counters: usize,
+    faults: &FaultConfig,
+) -> Result<(), String> {
+    let refusals: Vec<String> = run_refusals(technique, counters, faults)
+        .iter()
+        .map(|r| format!("{}: {}", r.code, r.message))
+        .collect();
+    if refusals.is_empty() {
+        Ok(())
+    } else {
+        Err(refusals.join("; "))
+    }
+}
 
 /// A configured experiment, built with a fluent API:
 ///
@@ -235,6 +313,52 @@ impl<P: Program> Experiment<P> {
 mod tests {
     use super::*;
     use cachescope_workloads::spec;
+
+    fn refusal_codes(t: &TechniqueConfig, counters: usize, f: &FaultConfig) -> Vec<&'static str> {
+        run_refusals(t, counters, f)
+            .iter()
+            .map(|r| r.code)
+            .collect()
+    }
+
+    #[test]
+    fn illegal_periods_parse_but_may_not_run() {
+        let inert = FaultConfig::default();
+        for spec in [
+            "sampling:0",
+            "jittered:0:0",
+            "adaptive:0",
+            "adaptive:-1",
+            "adaptive:NaN",
+        ] {
+            let t = TechniqueConfig::parse_spec(spec, 0, false, false).unwrap();
+            assert_eq!(refusal_codes(&t, 10, &inert), ["CS-P003"], "{spec}");
+        }
+        for spec in ["sampling:1", "jittered:2:1", "adaptive:5", "search", "none"] {
+            let t = TechniqueConfig::parse_spec(spec, 0, false, false).unwrap();
+            assert_eq!(refuse_run(&t, 10, &inert), Ok(()), "{spec}");
+        }
+    }
+
+    #[test]
+    fn every_refusal_is_returned_counters_technique_faults() {
+        let faults = FaultConfig {
+            drop_rate: 1.5,
+            wrap_bits: 99,
+            skid_depth: FaultConfig::MAX_SKID_DEPTH + 1,
+            ..FaultConfig::default()
+        };
+        let t = TechniqueConfig::sampling(0);
+        assert_eq!(
+            refusal_codes(&t, 0, &faults),
+            ["CS-P004", "CS-P003", "CS-P006", "CS-P006", "CS-P006"]
+        );
+        let err = refuse_run(&t, 0, &FaultConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            "CS-P004: 0 PMU counters, not in 1..=64; CS-P003: sampling period is zero"
+        );
+    }
 
     #[test]
     fn baseline_run_has_no_instrumentation_cost() {

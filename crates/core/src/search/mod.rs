@@ -28,7 +28,7 @@ pub mod log;
 pub mod pqueue;
 pub mod region;
 
-use cachescope_hwpm::{CounterId, Interrupt};
+use cachescope_hwpm::{CounterId, Interrupt, PmuConfig};
 use cachescope_objmap::{AccessTrace, ObjectMap};
 use cachescope_obs::ObsEvent;
 use cachescope_sim::address_space::{INSTR_BASE, STATIC_BASE};
@@ -107,7 +107,7 @@ pub struct SearchConfig {
     /// timesharing the single conditional counter", section 2.2) and
     /// warns it "may lead to increased inaccuracy" (section 3.4) — which
     /// this implementation lets you measure. `None` uses the physical
-    /// width with no timesharing.
+    /// width with no timesharing. At most [`SearchConfig::MAX_LOGICAL_WAYS`].
     pub logical_ways: Option<usize>,
     /// Measurement-hardening: cross-check each interval's region counts
     /// against the global counter and treat the interval as contaminated
@@ -158,6 +158,10 @@ impl Default for SearchConfig {
 }
 
 impl SearchConfig {
+    /// The widest logical search a run may ask for (the paper's is
+    /// 10-way): the counter cap, so a search over every counter fits.
+    pub const MAX_LOGICAL_WAYS: usize = PmuConfig::MAX_REGION_COUNTERS;
+
     /// Report label, e.g. `search(10-way)` once the width is known.
     pub fn label(&self) -> String {
         let base = match self.strategy {
@@ -1142,7 +1146,7 @@ impl Searcher {
 impl Handler for Searcher {
     fn init(&mut self, ctx: &mut EngineCtx) {
         self.k = ctx.num_counters();
-        // check:allow(`PmuConfig::check_counters` refuses a zero count at the CLI and the daemon hello, and check reports it as CS-P004)
+        // check:allow(`run_refusals` refuses a zero count at every door: the CLI, the daemon hello, a campaign cell; check reports it as CS-P004)
         assert!(self.k >= 1, "the search needs at least 1 physical counter");
         // Logical width: timeshare the physical counters when asked for
         // (or forced to, with a single counter) more ways than exist.

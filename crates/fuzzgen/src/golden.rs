@@ -13,11 +13,11 @@
 use std::path::{Path, PathBuf};
 
 use cachescope_campaign::{fault_config_from_json, fault_config_to_json};
-use cachescope_core::FaultConfig;
+use cachescope_core::{refuse_run, FaultConfig};
 use cachescope_obs::json::{self, Json};
 use cachescope_workloads::fuzz::Scenario;
 
-use crate::differential::Finding;
+use crate::differential::{technique_config, Finding, COUNTERS};
 use crate::minimize::{measure, MinimizeOutcome, Property};
 
 /// The pinned failure envelope a golden must stay inside to pass.
@@ -129,7 +129,7 @@ impl Golden {
         Json::obj(fields)
     }
 
-    /// Parse a committed golden.
+    /// Parse a committed golden whose run [`refuse_run`] admits.
     pub fn from_json(v: &Json) -> Result<Golden, String> {
         if v.get("kind").and_then(Json::as_str) != Some("fuzz_golden") {
             return Err("not a fuzz_golden object".into());
@@ -176,9 +176,13 @@ impl Golden {
             }),
         };
         let scenario = Scenario::from_json(v.get("scenario").ok_or("golden missing 'scenario'")?)?;
+        let technique = need_str("technique")?;
+        let config = technique_config(&technique, scenario.budget_refs)
+            .ok_or_else(|| format!("unknown technique '{technique}'"))?;
+        refuse_run(&config, COUNTERS, &faults)?;
         Ok(Golden {
             name: need_str("name")?,
-            technique: need_str("technique")?,
+            technique,
             level: need_str("level")?,
             faults,
             expected,

@@ -64,6 +64,10 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
+    /// The deepest skid a run may ask for (real PMUs skid a few references; committed
+    /// configurations use 4 and 8): it keeps a hostile depth from sizing the skid ring.
+    pub const MAX_SKID_DEPTH: usize = 1024;
+
     /// True when no fault class is active: the PMU takes its fault-free
     /// fast path and the seed is irrelevant.
     pub fn is_inert(&self) -> bool {

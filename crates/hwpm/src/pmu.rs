@@ -26,21 +26,6 @@ impl PmuConfig {
     /// carry a handful and the paper's widest search uses 10; the cap
     /// keeps a hostile count from sizing [`Pmu::new`]'s counter array.
     pub const MAX_REGION_COUNTERS: usize = 64;
-
-    /// May a run use `n` region counters? Refuses 0 (the n-way search
-    /// cannot start) and more than [`PmuConfig::MAX_REGION_COUNTERS`].
-    /// The CLI and the daemon hello refuse with this message; `check`
-    /// reports the same two cases as CS-P004 and CS-P007.
-    pub fn check_counters(n: usize) -> Result<(), String> {
-        match n {
-            0 => Err("zero PMU counters: a run needs at least one".to_string()),
-            n if n > Self::MAX_REGION_COUNTERS => Err(format!(
-                "{n} PMU counters exceed the cap of {}",
-                Self::MAX_REGION_COUNTERS
-            )),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// An interrupt raised by the PMU, to be delivered by the simulation engine.

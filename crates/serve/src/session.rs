@@ -9,7 +9,7 @@
 //! worker is touched.
 
 use cachescope_campaign::Fnv1a64;
-use cachescope_core::{PmuConfig, TechniqueConfig};
+use cachescope_core::{refuse_run, FaultConfig, TechniqueConfig};
 use cachescope_obs::{json, Json};
 use cachescope_sim::tracefile::BinStreamDecoder;
 use cachescope_sim::{Event, ObjectDecl, TraceProgram};
@@ -111,8 +111,6 @@ impl SessionConfig {
                         .as_u64()
                         .ok_or_else(|| bad("\"counters\" must be an integer".to_string()))?;
                     cfg.counters = usize::try_from(n).unwrap_or(usize::MAX);
-                    PmuConfig::check_counters(cfg.counters)
-                        .map_err(|e| bad(format!("\"counters\": {e}")))?;
                 }
                 "interval" => {
                     cfg.interval = val
@@ -122,8 +120,9 @@ impl SessionConfig {
                 other => return Err(bad(format!("unknown hello config key: {other:?}"))),
             }
         }
-        // Validate the spec now, at admission, not after the bytes.
-        cfg.technique()?;
+        // Judge the run now, at admission, not after the bytes.
+        refuse_run(&cfg.technique()?, cfg.counters, &FaultConfig::default())
+            .map_err(|e| bad(format!("{e} (hello technique {:?})", cfg.technique_spec)))?;
         Ok(cfg)
     }
 
@@ -275,6 +274,7 @@ impl SessionStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachescope_core::PmuConfig;
     use cachescope_sim::tracefile::{RecordingProgram, TraceFormat};
     use cachescope_sim::{MemRef, Program};
 

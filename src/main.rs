@@ -27,8 +27,8 @@
 //!   --technique adaptive:<pct>             self-tuning sampling targeting
 //!                                          <pct>% instrumentation overhead
 //!   --technique search                     n-way search (all counters)
-//!   --technique search:<n>                 n-way logical search (timeshared
-//!                                          if n exceeds --counters)
+//!   --technique search:<n>                 n-way logical search, 1 <= n <= 64
+//!                                          (timeshared if n exceeds --counters)
 //!   --misses <N>        run length in application misses  [default 1000000]
 //!   --counters <K>      physical PMU region counters, 1 to 64 [default 10]
 //!   --interval <C>      search interval in cycles         [default 25000000]
@@ -63,7 +63,7 @@
 //! cargo run --release -- mcf --technique sampling:1000 --aggregate
 //! ```
 
-use cachescope::core::{Experiment, PmuConfig, TechniqueConfig};
+use cachescope::core::{refuse_run, Experiment, FaultConfig, TechniqueConfig};
 use cachescope::sim::{CacheConfig, Program, RunLimit, TimelineConfig};
 use cachescope::workloads::spec::{self, Scale};
 use cachescope::workloads::spec2000;
@@ -77,7 +77,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cachescope <app> [options]\n\
          \x20 --technique sampling:<k> | jittered:<base>:<spread> | adaptive:<pct>\n\
-         \x20             | search[:<n>] | none\n\
+         \x20             | search[:<n>, n from 1 to 64] | none\n\
          \x20 --misses N --counters K --interval C --paper-scale --aggregate\n\
          \x20 --timeline C --top N --l1 KiB --search-log --csv FILE\n\
          \x20 --json FILE --trace-out FILE --metrics\n\
@@ -195,7 +195,6 @@ fn main() {
             "--counters" => {
                 let n = parse_u64(&value("--counters"), "counters");
                 counters = usize::try_from(n).unwrap_or(usize::MAX);
-                refuse("--counters", PmuConfig::check_counters(counters));
             }
             "--interval" => interval = parse_u64(&value("--interval"), "interval"),
             "--paper-scale" => scale = Scale::Paper,
@@ -242,6 +241,10 @@ fn main() {
             eprintln!("{e}");
             usage();
         });
+    if let Err(why) = refuse_run(&tech, counters, &FaultConfig::default()) {
+        eprintln!("{why}");
+        std::process::exit(2);
+    }
 
     // Resolve the program: a synthetic app, a recorded trace, or a
     // synthetic app teed to a trace file.

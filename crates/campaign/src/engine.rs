@@ -2,8 +2,10 @@
 //!
 //! [`CampaignRunner::run`] takes an expanded spec through three stages:
 //!
-//! 1. **Cache pass** (serial, cheap): every cell's content hash is looked
-//!    up in the [`ResultCache`]; hits are settled immediately without
+//! 1. **Admission and cache pass** (serial, cheap): a cell the run rule
+//!    ([`cachescope_core::run_refusals`]) refuses is settled as failed
+//!    with no attempt; every other cell's content hash is looked up in
+//!    the [`ResultCache`], and hits are settled immediately without
 //!    simulating. A re-run of an unchanged spec does no simulation at all
 //!    — `campaign.cell_starts` stays at zero.
 //! 2. **Simulation pass**: the remaining cells run on a bounded
@@ -16,7 +18,8 @@
 //!
 //! Progress flows through [`cachescope_obs`] events and derived metrics
 //! (`campaign.cells`, `campaign.cache_hits`, `campaign.cell_starts`,
-//! `campaign.cells_completed`, `campaign.retries`, `campaign.panics`).
+//! `campaign.cells_completed`, `campaign.retries`, `campaign.panics`,
+//! `campaign.refused`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -46,11 +49,13 @@ pub struct CellOutcome {
     pub report: Json,
 }
 
-/// One cell that exhausted its retry budget.
+/// One cell that the run rule refused or that exhausted its retry
+/// budget.
 #[derive(Debug, Clone)]
 pub struct CellFailure {
     pub cell: Cell,
     pub hash: String,
+    /// Simulation attempts consumed (0 for a refused cell).
     pub attempts: u32,
     pub error: String,
 }
@@ -61,7 +66,8 @@ pub struct CampaignRun {
     pub name: String,
     /// Settled cells in matrix order.
     pub outcomes: Vec<CellOutcome>,
-    /// Cells that failed every attempt (empty on a clean run).
+    /// Refused cells, then cells that failed every attempt, each in
+    /// matrix order (empty on a clean run).
     pub failures: Vec<CellFailure>,
     /// The campaign's observability sink: full event stream plus derived
     /// scheduler metrics.
@@ -198,14 +204,29 @@ impl CampaignRunner {
         });
         self.checkpoint(&manifest);
 
-        // Stage 1: satisfy what we can from the cache.
+        // Stage 1: settle refused cells, then what the cache holds.
         let mut settled: Vec<Option<CellOutcome>> = (0..cells.len()).map(|_| None).collect();
+        let mut failures = Vec::new();
         let mut to_run: Vec<usize> = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
-            // A refused cell is never served, not even from an entry an
-            // older build stored: `Cell::run` fails it with its codes.
-            let refused = refuse_run(&cell.technique, cell.counters, &cell.faults).is_err();
-            let cached = if self.force || refused {
+            // A refused cell fails with its codes and no attempt, and is
+            // never served, not even from an entry an older build stored.
+            if let Err(error) = refuse_run(&cell.technique, cell.counters, &cell.faults) {
+                lock(&obs).emit(ObsEvent::CellRefused {
+                    index: cell.index as u64,
+                    hash: hashes[i].clone(),
+                    error: error.clone(),
+                });
+                lock(&manifest).settle(cell.index, CellStatus::Failed, 0);
+                failures.push(CellFailure {
+                    cell: cell.clone(),
+                    hash: hashes[i].clone(),
+                    attempts: 0,
+                    error,
+                });
+                continue;
+            }
+            let cached = if self.force {
                 CacheLookup::Miss
             } else {
                 cache.load_classified(cell)
@@ -313,7 +334,6 @@ impl CampaignRunner {
         let results = run_isolated(jobs, worker_cap(self.jobs));
 
         // Stage 3: fold pool results back into matrix order.
-        let mut failures = Vec::new();
         let mut cell_ns: Vec<u64> = Vec::new();
         for (&i, result) in to_run.iter().zip(results) {
             let cell = cells[i].clone();

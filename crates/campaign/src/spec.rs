@@ -203,6 +203,55 @@ pub const HARDENED_MAX_REMEASURE: u32 = 3;
 /// See [`HARDENED_CONSISTENCY_TOLERANCE`].
 pub const HARDENED_OUTLIER_PCT: f64 = 100.0;
 
+/// PMU region counters per cell unless a column sets its own (the
+/// repo-wide default width); every fuzz cell and golden replay runs on
+/// this many.
+pub const COUNTERS: usize = 10;
+
+/// Fixed miss-sampling period for fuzz cells. Small relative to fuzz
+/// budgets so even a 20k-ref smoke scenario collects enough samples to
+/// rank its targets.
+pub const SAMPLE_PERIOD: u64 = 320;
+
+/// Search measurement interval for a fuzz scenario: short enough that a
+/// small budget still completes several intervals per region, floored so
+/// tiny minimized scenarios don't degenerate to per-access intervals.
+pub fn fuzz_search_interval(budget_refs: u64) -> u64 {
+    budget_refs.saturating_mul(2).max(20_000)
+}
+
+/// Resolve a fuzz technique name (`sample`, `sample+h`, `search`,
+/// `search+h`) to the concrete config a *direct* (non-campaign)
+/// experiment uses — the minimizer and golden replays must measure
+/// exactly what the campaign cells measured, and `check` judges a
+/// golden's run by the same config.
+pub fn technique_config(technique: &str, budget_refs: u64) -> Option<TechniqueConfig> {
+    let search = |hardened: bool| {
+        let mut cfg = SearchConfig {
+            interval: fuzz_search_interval(budget_refs),
+            ..Default::default()
+        };
+        if hardened {
+            cfg.consistency_tolerance = Some(HARDENED_CONSISTENCY_TOLERANCE);
+            cfg.max_remeasure = HARDENED_MAX_REMEASURE;
+            cfg.outlier_pct = Some(HARDENED_OUTLIER_PCT);
+        }
+        TechniqueConfig::Search(cfg)
+    };
+    let sampling = |hardened: bool| {
+        let mut cfg = SamplerConfig::fixed(SAMPLE_PERIOD);
+        cfg.hardened = hardened;
+        TechniqueConfig::Sampling(cfg)
+    };
+    match technique {
+        "sample" => Some(sampling(false)),
+        "sample+h" => Some(sampling(true)),
+        "search" => Some(search(false)),
+        "search+h" => Some(search(true)),
+        _ => None,
+    }
+}
+
 /// Render a [`FaultConfig`] as canonical JSON: every knob in a fixed key
 /// order, so equal configurations render to identical bytes (the cache
 /// identity depends on this).
@@ -467,12 +516,12 @@ pub struct TechniqueSpec {
 }
 
 impl TechniqueSpec {
-    /// A technique column with the default ten PMU counters.
+    /// A technique column with the default [`COUNTERS`] PMU counters.
     pub fn new(label: impl Into<String>, kind: TechniqueKind, limit: LimitSpec) -> Self {
         TechniqueSpec {
             label: label.into(),
             kind,
-            counters: 10,
+            counters: COUNTERS,
             limit,
             faults: FaultConfig::default(),
         }

@@ -5,8 +5,9 @@ use std::path::PathBuf;
 
 use cachescope_campaign::registry::PANIC_WORKLOAD;
 use cachescope_campaign::{
-    CampaignRunner, CampaignSpec, LimitSpec, ResultCache, TechniqueKind, TechniqueSpec,
+    CampaignRunner, CampaignSpec, CellStatus, LimitSpec, ResultCache, TechniqueKind, TechniqueSpec,
 };
+use cachescope_core::FaultConfig;
 use cachescope_workloads::spec::Scale;
 
 /// A fresh pair of (cache, manifest) temp directories for one test.
@@ -174,6 +175,62 @@ fn a_refused_cell_fails_even_with_a_cached_report() {
         assert!(f.error.starts_with("CS-P004: "), "error: {}", f.error);
     }
     assert_eq!(run.obs.metrics.counter("campaign.cache_hits"), 0);
+}
+
+/// A refused cell is settled before the pool starts: no attempt, no
+/// retry, no panic, one `cell_refused` event, and a manifest entry
+/// marked failed, while the clean cell beside it still simulates.
+#[test]
+fn a_refused_cell_settles_with_no_attempt() {
+    let dirs = TempDirs::new("refused-stage-1");
+    let clean = TechniqueSpec::new("clean", TechniqueKind::None, LimitSpec::misses(10_000));
+    let spec = CampaignSpec::new("refused-stage-1", Scale::Test)
+        .workloads(["mgrid"])
+        .technique(clean.clone())
+        .technique(TechniqueSpec {
+            label: "zero".into(),
+            ..clean.clone().counters(0)
+        })
+        .technique(TechniqueSpec {
+            label: "skid".into(),
+            ..clean.faults(FaultConfig {
+                skid_depth: 100_000_000_000,
+                skid_rate: 0.5,
+                ..FaultConfig::default()
+            })
+        });
+    let run = dirs.runner().retries(1).run(&spec).unwrap();
+
+    assert_eq!(run.outcomes.len(), 1);
+    assert!(!run.outcomes[0].cache_hit);
+    assert_eq!(run.outcomes[0].cell.label, "clean");
+    let failed: Vec<_> = run
+        .failures
+        .iter()
+        .map(|f| (f.cell.label.as_str(), f.attempts, &f.error[..8]))
+        .collect();
+    assert_eq!(failed, [("zero", 0, "CS-P004:"), ("skid", 0, "CS-P006:")]);
+    let m = &run.obs.metrics;
+    assert_eq!(m.counter("campaign.cell_starts"), 1);
+    assert_eq!(m.counter("campaign.retries"), 0);
+    assert_eq!(m.counter("campaign.panics"), 0);
+    assert_eq!(m.counter("campaign.refused"), 2);
+
+    let manifest = cachescope_campaign::Manifest::load(&dirs.manifests, "refused-stage-1")
+        .expect("manifest written");
+    let fates: Vec<_> = manifest
+        .cells
+        .iter()
+        .map(|c| (c.status, c.attempts))
+        .collect();
+    assert_eq!(
+        fates,
+        [
+            (CellStatus::Done, 1),
+            (CellStatus::Failed, 0),
+            (CellStatus::Failed, 0)
+        ]
+    );
 }
 
 #[test]

@@ -14,15 +14,21 @@
 //! mistyped field, `CS-F003` embedded scenario invalid, `CS-F004`
 //! internally inconsistent finding, `CS-F005` unresolved failure
 //! recorded (warning — the fuzz CLI, not the static checker, is the
-//! gate that fails the build). A verdict's recorded static-bounds
+//! gate that fails the build). A golden's replay run (its technique on
+//! the fuzz sweep's counters, under its faults) is judged by the run
+//! rule, so it carries the same `CS-P003..P007` codes `cachescope fuzz`
+//! refuses it with. A verdict's recorded static-bounds
 //! violations re-surface here under `CS-A004` (same warning-not-gate
 //! convention as `CS-F005`).
 
+use cachescope_campaign::spec::{fault_config_from_json, technique_config, COUNTERS};
+use cachescope_core::FaultConfig;
 use cachescope_obs::json::{self, Json};
 use cachescope_workloads::fuzz::{FuzzWorkload, Scenario};
 
 use crate::diag::Diagnostic;
 use crate::lifecycle::LifecycleChecker;
+use crate::pmu::check_run;
 
 /// Check one scenario with budget-derived bounds: enough events to cover
 /// the whole stream (every slot emits at most four events plus the
@@ -317,7 +323,7 @@ pub fn check_golden_json(v: &Json, source: &str) -> Vec<Diagnostic> {
         return diags;
     }
     need_str(v, "name", source, &mut diags);
-    need_str(v, "technique", source, &mut diags);
+    let technique = need_str(v, "technique", source, &mut diags);
     need_str(v, "level", source, &mut diags);
     match v.get("expected") {
         None => diags.push(Diagnostic::error(
@@ -337,7 +343,12 @@ pub fn check_golden_json(v: &Json, source: &str) -> Vec<Diagnostic> {
             "missing embedded 'scenario'",
         )),
         Some(s) => match Scenario::from_json(s) {
-            Ok(scenario) => diags.extend(check_scenario_default(&scenario, source)),
+            Ok(scenario) => {
+                diags.extend(check_scenario_default(&scenario, source));
+                if let Some(technique) = technique {
+                    diags.extend(check_golden_run(v, &technique, &scenario, source));
+                }
+            }
             Err(e) => diags.push(
                 Diagnostic::error("CS-F003", source, format!("embedded scenario invalid: {e}"))
                     .with_hint("golden scenarios must round-trip through Scenario::from_json"),
@@ -345,6 +356,32 @@ pub fn check_golden_json(v: &Json, source: &str) -> Vec<Diagnostic> {
         },
     }
     diags
+}
+
+/// The run a golden replays: its technique resolved by the name table
+/// the replay uses, on the replay's counters, under its faults, judged
+/// by the run rule every other door applies.
+fn check_golden_run(
+    v: &Json,
+    technique: &str,
+    scenario: &Scenario,
+    source: &str,
+) -> Vec<Diagnostic> {
+    let Some(config) = technique_config(technique, scenario.budget_refs) else {
+        return vec![Diagnostic::error(
+            "CS-F002",
+            source,
+            format!("unknown technique '{technique}'"),
+        )
+        .with_hint("a golden replays one of sample, sample+h, search, search+h")];
+    };
+    match v
+        .get("faults")
+        .map_or(Ok(FaultConfig::default()), fault_config_from_json)
+    {
+        Ok(faults) => check_run(&config, COUNTERS, &faults, source, "golden replay"),
+        Err(e) => vec![Diagnostic::error("CS-F002", source, format!("faults: {e}"))],
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +443,23 @@ mod tests {
         assert!(diags
             .iter()
             .all(|d| d.severity == crate::diag::Severity::Warning));
+    }
+
+    #[test]
+    fn a_golden_replays_a_run_the_run_rule_admits() {
+        let golden = |technique: &str, faults: &str| {
+            let text = format!(
+                r#"{{"kind":"fuzz_golden","v":1,"name":"g","technique":"{technique}",
+                    "level":"skid","faults":{faults},
+                    "expected":{{"min_inversions":1,"max_degraded":0}},"scenario":{}}}"#,
+                Scenario::generate(1, 1_000).to_json().render()
+            );
+            codes(&check_fuzz_json(&json::parse(&text).expect("json"), "t"))
+        };
+        assert!(golden("sample+h", r#"{"skid_depth":8,"skid_rate":1.0}"#).is_empty());
+        assert_eq!(golden("banana", "{}"), ["CS-F002"]);
+        assert_eq!(golden("search", r#"{"banana":1}"#), ["CS-F002"]);
+        assert_eq!(golden("search+h", r#"{"drop_rate":1.5}"#), ["CS-P006"]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! a fault knob out of range, more PMU counters than the cap.
 
 use cachescope_campaign::Cell;
-use cachescope_core::{run_refusals, FaultConfig};
+use cachescope_core::{run_refusals, FaultConfig, TechniqueConfig};
 use cachescope_sim::{ObjectDecl, RunLimit};
 
 use crate::diag::Diagnostic;
@@ -52,15 +52,33 @@ pub(crate) fn wrap_diag(what: &str, base: u64, size: u64, source: &str) -> Optio
 /// wraparound warning.
 pub fn check_cell(cell: &Cell, source: &str) -> Vec<Diagnostic> {
     let who = cell.describe();
-    let mut diags: Vec<Diagnostic> = run_refusals(&cell.technique, cell.counters, &cell.faults)
-        .into_iter()
-        .map(|r| {
-            Diagnostic::error(r.code, source, format!("cell {who}: {}", r.message))
-                .with_hint(refusal_hint(r.code))
-        })
-        .collect();
+    let mut diags = check_run(
+        &cell.technique,
+        cell.counters,
+        &cell.faults,
+        source,
+        &format!("cell {who}"),
+    );
     diags.extend(check_wrap_width(&cell.faults, cell.limit, source, &who));
     diags
+}
+
+/// Each refusal of the run rule ([`run_refusals`]) for one run
+/// configuration, as an error naming `who` and carrying its fix hint.
+pub(crate) fn check_run(
+    technique: &TechniqueConfig,
+    counters: usize,
+    faults: &FaultConfig,
+    source: &str,
+    who: &str,
+) -> Vec<Diagnostic> {
+    run_refusals(technique, counters, faults)
+        .into_iter()
+        .map(|r| {
+            Diagnostic::error(r.code, source, format!("{who}: {}", r.message))
+                .with_hint(refusal_hint(r.code))
+        })
+        .collect()
 }
 
 /// The fix hint for each code the run rule refuses with.

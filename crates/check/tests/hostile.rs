@@ -11,8 +11,8 @@
 //! one rule, `cachescope_core::run_refusals`: one table of hostile and
 //! boundary values goes through every door that can carry each value
 //! (the rule itself, a daemon hello, a campaign cell, a fuzz golden and
-//! `check`), and every door must refuse a hostile value with the same
-//! `CS-P` code and admit a boundary one.
+//! `check`, both of a cell and of a golden), and every door must refuse
+//! a hostile value with the same `CS-P` code and admit a boundary one.
 
 use cachescope_analyze::{analyze_program, AnalyzeConfig};
 use cachescope_campaign::spec::{
@@ -20,6 +20,7 @@ use cachescope_campaign::spec::{
 };
 use cachescope_campaign::Cell;
 use cachescope_check::bounds::{analysis_limit, check_report_bounds};
+use cachescope_check::fuzz::check_golden_json;
 use cachescope_check::pmu::check_cell;
 use cachescope_check::trace::check_trace;
 use cachescope_core::export::report_to_json;
@@ -438,6 +439,11 @@ fn every_door_refuses_a_hostile_run_configuration_with_one_code() {
             };
             let parsed = Golden::from_json(&golden.to_json()).map(drop);
             assert_eq!(door_code(parsed), want, "Golden::from_json: {who}");
+            let checked: Vec<_> = check_golden_json(&golden.to_json(), "hostile")
+                .iter()
+                .map(|d| d.code)
+                .collect();
+            assert_eq!(checked, rule, "check_golden_json: {who}");
         } else {
             let hello = format!(r#"{{"technique":"{spec}","counters":{counters}}}"#);
             let admitted = SessionConfig::from_json(hello.as_bytes()).map(drop);

@@ -16,10 +16,13 @@
 
 use std::path::PathBuf;
 
+pub use cachescope_campaign::spec::{
+    fuzz_search_interval, technique_config, COUNTERS, SAMPLE_PERIOD,
+};
 use cachescope_campaign::{
     view, CampaignRunner, CampaignSpec, CellOutcome, LimitSpec, TechniqueKind, TechniqueSpec,
 };
-use cachescope_core::{FaultConfig, SamplerConfig, SearchConfig, TechniqueConfig};
+use cachescope_core::FaultConfig;
 use cachescope_obs::{Json, Obs, ObsEvent};
 use cachescope_workloads::fuzz::Scenario;
 use cachescope_workloads::spec::Scale;
@@ -28,27 +31,12 @@ use cachescope_workloads::spec::Scale;
 /// `fault_study`).
 pub const TOP_N: usize = 3;
 
-/// Fixed miss-sampling period for fuzz cells. Small relative to fuzz
-/// budgets so even a 20k-ref smoke scenario collects enough samples to
-/// rank its targets.
-pub const SAMPLE_PERIOD: u64 = 320;
-
 /// One fixed seed for every active fault model (same constant as
 /// `fault_study`: the sweep is a deterministic function of its config).
 pub const FAULT_SEED: u64 = 1729;
 
-/// PMU region counters per cell (the repo-wide default width).
-pub const COUNTERS: usize = 10;
-
 /// The four technique variants under differential test.
 pub const TECHNIQUES: [&str; 4] = ["sample", "sample+h", "search", "search+h"];
-
-/// Search measurement interval for a fuzz scenario: short enough that a
-/// small budget still completes several intervals per region, floored so
-/// tiny minimized scenarios don't degenerate to per-access intervals.
-pub fn fuzz_search_interval(budget_refs: u64) -> u64 {
-    budget_refs.saturating_mul(2).max(20_000)
-}
 
 /// The fault levels swept against every technique (mirrors
 /// `fault_study`): inert baseline, interrupt skid, dropped overflow
@@ -105,37 +93,6 @@ pub fn fault_level(level: &str) -> Option<FaultConfig> {
 /// Whether a technique name denotes a hardened variant.
 pub fn technique_is_hardened(technique: &str) -> bool {
     technique.ends_with("+h")
-}
-
-/// Resolve a technique name to the concrete config a *direct*
-/// (non-campaign) experiment uses — the minimizer and golden replays
-/// must measure exactly what the campaign cells measured.
-pub fn technique_config(technique: &str, budget_refs: u64) -> Option<TechniqueConfig> {
-    let search = |hardened: bool| {
-        let mut cfg = SearchConfig {
-            interval: fuzz_search_interval(budget_refs),
-            ..Default::default()
-        };
-        if hardened {
-            cfg.consistency_tolerance =
-                Some(cachescope_campaign::spec::HARDENED_CONSISTENCY_TOLERANCE);
-            cfg.max_remeasure = cachescope_campaign::spec::HARDENED_MAX_REMEASURE;
-            cfg.outlier_pct = Some(cachescope_campaign::spec::HARDENED_OUTLIER_PCT);
-        }
-        TechniqueConfig::Search(cfg)
-    };
-    let sampling = |hardened: bool| {
-        let mut cfg = SamplerConfig::fixed(SAMPLE_PERIOD);
-        cfg.hardened = hardened;
-        TechniqueConfig::Sampling(cfg)
-    };
-    match technique {
-        "sample" => Some(sampling(false)),
-        "sample+h" => Some(sampling(true)),
-        "search" => Some(search(false)),
-        "search+h" => Some(search(true)),
-        _ => None,
-    }
 }
 
 /// The symbolic campaign technique for one variant name.
@@ -416,6 +373,7 @@ pub fn rerun_cache_stats(cfg: &DifferentialConfig) -> Result<(usize, usize), Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachescope_core::TechniqueConfig;
 
     #[test]
     fn fault_matrix_matches_fault_study_shape() {

@@ -214,6 +214,13 @@ pub enum ObsEvent {
         hash: String,
         error: String,
     },
+    /// The run rule refused a cell's configuration: it failed with no
+    /// attempt, and `error` carries its `CS-P` codes.
+    CellRefused {
+        index: u64,
+        hash: String,
+        error: String,
+    },
     /// A campaign finished (all cells resolved or failed).
     CampaignEnd {
         name: String,
@@ -319,6 +326,7 @@ impl ObsEvent {
             ObsEvent::CellFinish { .. } => "cell_finish",
             ObsEvent::CellRetry { .. } => "cell_retry",
             ObsEvent::CellPanic { .. } => "cell_panic",
+            ObsEvent::CellRefused { .. } => "cell_refused",
             ObsEvent::CampaignEnd { .. } => "campaign_end",
             ObsEvent::CheckDiagnostic { .. } => "check_diagnostic",
             ObsEvent::SessionStart { .. } => "session_start",
@@ -514,7 +522,8 @@ impl ObsEvent {
                 fields.push(("attempt", Json::Uint(*attempt)));
                 fields.push(("error", Json::str(error.clone())));
             }
-            ObsEvent::CellPanic { index, hash, error } => {
+            ObsEvent::CellPanic { index, hash, error }
+            | ObsEvent::CellRefused { index, hash, error } => {
                 fields.push(("index", Json::Uint(*index)));
                 fields.push(("hash", Json::str(hash.clone())));
                 fields.push(("error", Json::str(error.clone())));
@@ -748,6 +757,11 @@ mod tests {
                 index: 2,
                 hash: "deadbeefdeadbeef".into(),
                 error: "boom".into(),
+            },
+            ObsEvent::CellRefused {
+                index: 3,
+                hash: "deadbeefdeadbeef".into(),
+                error: "CS-P004: no counters".into(),
             },
             ObsEvent::CampaignEnd {
                 name: "table1".into(),

@@ -182,6 +182,7 @@ impl Obs {
             ObsEvent::CellFinish { .. } => self.metrics.inc("campaign.cells_completed"),
             ObsEvent::CellRetry { .. } => self.metrics.inc("campaign.retries"),
             ObsEvent::CellPanic { .. } => self.metrics.inc("campaign.panics"),
+            ObsEvent::CellRefused { .. } => self.metrics.inc("campaign.refused"),
             ObsEvent::RunEnd {
                 now,
                 app_misses,
@@ -308,7 +309,7 @@ mod tests {
         let mut obs = Obs::new();
         obs.emit(ObsEvent::CampaignStart {
             name: "t".into(),
-            cells: 3,
+            cells: 4,
         });
         obs.emit(ObsEvent::CellCacheHit {
             index: 0,
@@ -335,12 +336,18 @@ mod tests {
             hash: "cc".into(),
             error: "boom".into(),
         });
-        assert_eq!(obs.metrics.gauge("campaign.cells"), Some(3.0));
+        obs.emit(ObsEvent::CellRefused {
+            index: 3,
+            hash: "dd".into(),
+            error: "CS-P004: no counters".into(),
+        });
+        assert_eq!(obs.metrics.gauge("campaign.cells"), Some(4.0));
         assert_eq!(obs.metrics.counter("campaign.cache_hits"), 1);
         assert_eq!(obs.metrics.counter("campaign.cell_starts"), 1);
         assert_eq!(obs.metrics.counter("campaign.cells_completed"), 1);
         assert_eq!(obs.metrics.counter("campaign.retries"), 1);
         assert_eq!(obs.metrics.counter("campaign.panics"), 1);
+        assert_eq!(obs.metrics.counter("campaign.refused"), 1);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Single-level set-associative cache with true-LRU replacement.
 //!
 //! This is the cache the paper simulates: single level, set associative,
-//! 2 MB in their experiments. Replacement is exact LRU (per-set timestamps).
+//! 2 MB in their experiments. Replacement is exact LRU: each set keeps
+//! its lines in recency order, so the order is the replacement state.
 //! The model is tag-only: no data is stored, and writes allocate like reads.
 
 use crate::config::{CacheConfig, ReplacementPolicy};
-use crate::memref::MemRef;
+use crate::memref::{AccessKind, MemRef};
 use crate::Addr;
 
 /// Result of applying one reference to the cache.
@@ -20,6 +21,13 @@ pub struct AccessOutcome {
     pub wrote_back: bool,
 }
 
+/// The outcome of every hit.
+const HIT: AccessOutcome = AccessOutcome {
+    hit: true,
+    evicted: None,
+    wrote_back: false,
+};
+
 /// Tag-word flag: the way holds a valid line.
 const VALID: u64 = 1 << 63;
 /// Tag-word flag: the line has been written since allocation.
@@ -28,25 +36,22 @@ const FLAGS: u64 = VALID | DIRTY;
 
 /// A set-associative cache with LRU replacement.
 ///
-/// Storage is struct-of-arrays: `tags` packs valid/dirty into the two
-/// top bits of each tag word so the hit-path way scan walks a single
-/// dense `u64` array (one or two cache lines per set), and the LRU/FIFO
-/// stamps live in a parallel array that the hit path only touches when
-/// the policy actually reads stamps (never for [`ReplacementPolicy::PseudoRandom`]).
+/// Each set is `assoc` consecutive tag words, and their order is the
+/// replacement state. Under [`ReplacementPolicy::Lru`] way 0 is the most
+/// recently used line and the last way the least; under
+/// [`ReplacementPolicy::Fifo`] way 0 is the newest insert. Under
+/// [`ReplacementPolicy::PseudoRandom`] ways stay where they were filled.
+/// Only [`SetAssocCache::flush`] invalidates a line, so a set's invalid
+/// ways are always its tail.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Per-way tag words: bit 63 = valid, bit 62 = dirty, low bits = tag.
     tags: Vec<u64>,
-    /// Per-way recency/insertion stamps, parallel to `tags`. Not
-    /// maintained under the pseudo-random policy (never read there).
-    stamps: Vec<u64>,
     set_count: u64,
     set_shift: u32,
     set_mask: u64,
     assoc: usize,
-    /// Monotonic access stamp used for LRU/FIFO ordering.
-    stamp: u64,
     /// Xorshift state for the pseudo-random policy.
     prng: u64,
     accesses: u64,
@@ -60,16 +65,13 @@ impl SetAssocCache {
         cfg.validate();
         let set_count = cfg.num_sets();
         let assoc = cfg.assoc as usize;
-        let ways = (set_count as usize) * assoc;
         SetAssocCache {
             set_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: set_count - 1,
-            tags: vec![0; ways],
-            stamps: vec![0; ways],
+            tags: vec![0; (set_count as usize) * assoc],
             set_count,
             assoc,
             cfg,
-            stamp: 0,
             prng: 0x9E37_79B9_7F4A_7C15,
             accesses: 0,
             misses: 0,
@@ -113,78 +115,66 @@ impl SetAssocCache {
     #[inline(always)]
     pub fn access(&mut self, r: MemRef) -> AccessOutcome {
         self.accesses += 1;
-        self.stamp += 1;
-        let policy = self.cfg.policy;
         let tag = self.tag_of(r.addr);
         debug_assert!(tag & FLAGS == 0, "address too high for packed tags");
         let base = self.set_of(r.addr);
-        let assoc = self.assoc;
         let want = tag | VALID;
-        let is_write = r.kind == crate::memref::AccessKind::Write;
+        let dirty = if r.kind == AccessKind::Write {
+            DIRTY
+        } else {
+            0
+        };
 
-        // Single fused scan over the (small) set: the hit test walks the
-        // dense tag words (dirty bit masked off so valid lines match
-        // regardless of dirtiness), while the same pass tracks the first
-        // invalid way and the minimum-stamp way so a miss needs no
-        // second sweep. Stamp reads are wasted work only under the
-        // pseudo-random policy, which never consults them.
-        let tags = &mut self.tags[base..base + assoc];
-        let stamps = &mut self.stamps[base..base + assoc];
-        let mut invalid: Option<usize> = None;
-        let mut oldest = 0usize;
-        let mut oldest_stamp = u64::MAX;
-        for i in 0..assoc {
-            let t = tags[i];
-            if t & !DIRTY == want {
-                if is_write {
-                    tags[i] |= DIRTY;
-                }
-                if policy == ReplacementPolicy::Lru {
-                    stamps[i] = self.stamp;
-                }
-                return AccessOutcome {
-                    hit: true,
-                    evicted: None,
-                    wrote_back: false,
-                };
-            }
-            if t & VALID == 0 {
-                invalid.get_or_insert(i);
-            } else if stamps[i] < oldest_stamp {
-                oldest = i;
-                oldest_stamp = stamps[i];
-            }
+        // Tags match with the dirty bit masked off. Way 0 holds the most
+        // recent line (LRU) or the newest (FIFO), so a hit on it is one
+        // compare and moves nothing.
+        let (front, rest) = self.tags[base..base + self.assoc].split_at_mut(1);
+        if front[0] & !DIRTY == want {
+            front[0] |= dirty;
+            return HIT;
         }
+        let old = if self.cfg.policy == ReplacementPolicy::Lru {
+            // One pass moves each way back one place while it looks for
+            // the tag. A hit at way i goes to the front, with ways 0..i
+            // behind it; after a miss the whole set has moved back and
+            // `carry` is the old last way, which falls off.
+            let mut carry = front[0];
+            for way in rest {
+                let t = std::mem::replace(way, carry);
+                if t & !DIRTY == want {
+                    front[0] = t | dirty;
+                    return HIT;
+                }
+                carry = t;
+            }
+            front[0] = want | dirty;
+            carry
+        } else if let Some(way) = rest.iter_mut().find(|t| **t & !DIRTY == want) {
+            // FIFO and pseudo-random hits leave the order alone.
+            *way |= dirty;
+            return HIT;
+        } else {
+            let set = &mut self.tags[base..base + self.assoc];
+            let victim = if self.cfg.policy == ReplacementPolicy::Fifo {
+                // The oldest insert (or an invalid way) comes to the front.
+                set.rotate_right(1);
+                0
+            } else if let Some(invalid) = set.iter().position(|&t| t & VALID == 0) {
+                invalid
+            } else {
+                self.prng ^= self.prng << 13;
+                self.prng ^= self.prng >> 7;
+                self.prng ^= self.prng << 17;
+                (self.prng % self.assoc as u64) as usize
+            };
+            std::mem::replace(&mut set[victim], want | dirty)
+        };
 
         self.misses += 1;
-        // Invalid ways fill first under every policy; otherwise LRU and
-        // FIFO both evict the minimum stamp (they differ in whether hits
-        // refresh it), and PseudoRandom picks a deterministic random way.
-        let victim = match invalid {
-            Some(i) => i,
-            None => match policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest,
-                ReplacementPolicy::PseudoRandom => {
-                    self.prng ^= self.prng << 13;
-                    self.prng ^= self.prng >> 7;
-                    self.prng ^= self.prng << 17;
-                    (self.prng % assoc as u64) as usize
-                }
-            },
-        };
-        let old = self.tags[base + victim];
-        let evicted = (old & VALID != 0).then(|| (old & !FLAGS) << self.set_shift);
-        let wrote_back = old & FLAGS == FLAGS;
-        self.tags[base + victim] = want | if is_write { DIRTY } else { 0 };
-        if policy != ReplacementPolicy::PseudoRandom {
-            // Insertion stamp (LRU recency / FIFO age). Pseudo-random
-            // never reads stamps, so it skips the write entirely.
-            self.stamps[base + victim] = self.stamp;
-        }
         AccessOutcome {
             hit: false,
-            evicted,
-            wrote_back,
+            evicted: (old & VALID != 0).then(|| (old & !FLAGS) << self.set_shift),
+            wrote_back: old & FLAGS == FLAGS,
         }
     }
 
@@ -201,8 +191,6 @@ impl SetAssocCache {
     /// Invalidate the whole cache and reset statistics.
     pub fn flush(&mut self) {
         self.tags.fill(0);
-        self.stamps.fill(0);
-        self.stamp = 0;
         self.prng = 0x9E37_79B9_7F4A_7C15;
         self.accesses = 0;
         self.misses = 0;
@@ -595,8 +583,9 @@ mod policy_tests {
 
 #[cfg(test)]
 mod packed_equivalence_tests {
-    //! The pre-packing array-of-structs cache, retained verbatim as the
-    //! reference model the packed SoA layout is pinned against.
+    //! The stamp-based array-of-structs cache, kept as an independent
+    //! reference: it picks victims by per-line timestamps, while the
+    //! cache under test keeps each set's tag words in replacement order.
 
     use super::*;
     use crate::memref::{AccessKind, MemRef};
@@ -708,8 +697,9 @@ mod packed_equivalence_tests {
 
     /// Seeded randomized replay of mixed read/write streams: every
     /// outcome (hit, eviction address, write-back), residency probe and
-    /// occupancy count of the packed layout must equal the naive model,
-    /// for every replacement policy and several geometries.
+    /// occupancy count of the recency-ordered cache must equal the naive
+    /// model, for every replacement policy and geometries from direct
+    /// mapped through 16 ways to one fully associative set of 64 ways.
     #[test]
     fn packed_layout_matches_naive_model_for_all_policies() {
         let mut rng = SmallRng::seed_from_u64(0x009A_CCED);
@@ -719,7 +709,7 @@ mod packed_equivalence_tests {
             ReplacementPolicy::PseudoRandom,
         ] {
             for case in 0..24 {
-                let assoc = [1u32, 2, 4, 8][case % 4];
+                let assoc = [1u32, 2, 4, 8, 16, 64][case % 6];
                 let cfg = CacheConfig {
                     size_bytes: 4096,
                     line_bytes: 64,
@@ -761,7 +751,7 @@ mod packed_equivalence_tests {
         }
     }
 
-    /// Flushing must reset stamps and the policy PRNG so post-flush
+    /// Flushing must reset the tag order and the policy PRNG so post-flush
     /// behaviour replays a fresh cache exactly.
     #[test]
     fn flush_restores_fresh_cache_behaviour() {

@@ -153,12 +153,11 @@ fn main() {
         println!("  {:<28} {:<24} max err {err}%", o.cell.describe(), source);
     }
     for f in &run.failures {
-        println!(
-            "  {:<28} FAILED after {} attempts: {}",
-            f.cell.describe(),
-            f.attempts,
-            f.error,
-        );
+        let why = match f.attempts {
+            0 => "(refused)".to_string(),
+            n => format!("after {n} attempts"),
+        };
+        println!("  {:<28} FAILED {why}: {}", f.cell.describe(), f.error);
     }
 
     if let Some(path) = &trace_out {
